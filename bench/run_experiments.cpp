@@ -16,6 +16,7 @@
 #include <thread>
 
 #include "util/experiment.h"
+#include "util/options.h"
 #include "util/stopwatch.h"
 
 namespace {
@@ -24,15 +25,12 @@ using namespace oisched;
 
 int usage() {
   std::cerr << "usage: run_experiments [--quick] [--out PATH] [--threads N] [--seed S]\n"
-               "                       [--alpha A] [--beta B] [--storage dense|tiled]\n"
+               "                       [--alpha A] [--beta B]\n"
                "                       [--remove-policy exact|rebuild|compensated]\n"
                "                       [--repeat N]\n"
                "  --repeat runs every cell N times back to back and reports the headline\n"
                "  metric's min/median/max/jitter per cell; the cell's headline number\n"
                "  becomes the median run (the stable value CI floors gate on).\n"
-               "  --storage sets the default gain-table backend of the grid cells that\n"
-               "  do not pin one (the large-n tiled and growing appendable cells always\n"
-               "  do); scenario names grow a suffix for non-dense backends.\n"
                "  --remove-policy sets the default accumulator policy of the dynamic\n"
                "  cells that do not pin one (the policy-axis cells always do); scenario\n"
                "  names grow a suffix for non-exact policies.\n";
@@ -51,19 +49,21 @@ int main(int argc, char** argv) {
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else if (arg == "--threads" && i + 1 < argc) {
-      options.threads = std::strtoull(argv[++i], nullptr, 10);
+      const Expected<std::size_t> threads = parse_size_word(arg, argv[++i]);
+      if (!threads) return usage();
+      options.threads = threads.value();
     } else if (arg == "--seed" && i + 1 < argc) {
-      options.base_seed = std::strtoull(argv[++i], nullptr, 10);
+      const Expected<std::size_t> seed = parse_size_word(arg, argv[++i]);
+      if (!seed) return usage();
+      options.base_seed = seed.value();
     } else if (arg == "--repeat" && i + 1 < argc) {
-      options.repeat = std::strtoull(argv[++i], nullptr, 10);
-      if (options.repeat == 0) return usage();
+      const Expected<std::size_t> repeat = parse_size_word(arg, argv[++i]);
+      if (!repeat || repeat.value() == 0) return usage();
+      options.repeat = repeat.value();
     } else if (arg == "--alpha" && i + 1 < argc) {
       options.params.alpha = std::strtod(argv[++i], nullptr);
     } else if (arg == "--beta" && i + 1 < argc) {
       options.params.beta = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--storage" && i + 1 < argc) {
-      options.storage = argv[++i];
-      if (options.storage != "dense" && options.storage != "tiled") return usage();
     } else if (arg == "--remove-policy" && i + 1 < argc) {
       options.remove_policy = argv[++i];
       if (options.remove_policy != "exact" && options.remove_policy != "rebuild" &&

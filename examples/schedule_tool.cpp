@@ -2,7 +2,6 @@
 //
 //   $ ./schedule_tool gen  <out.inst> <n> [seed]       generate a workload
 //   $ ./schedule_tool run  <in.inst> <out.sched> [sqrt|greedy] [gain|incremental|direct]
-//                          [--storage dense|tiled]
 //                          [--remove-policy rebuild|compensated|exact]
 //   $ ./schedule_tool check <in.inst> <in.sched>       validate a schedule
 //   $ ./schedule_tool gen-trace <in.inst> <out.trace>
@@ -10,13 +9,13 @@
 //                                waypoint|commuter|flashmob]
 //                               [events] [seed]        generate a churn trace
 //   $ ./schedule_tool replay <in.inst> --trace <in.trace> [--out <final.sched>]
-//                            [--storage dense|tiled|computed]
+//                            [--storage dense|computed]
 //                            [--remove-policy rebuild|compensated|exact]
 //                            [--rebuild-interval N]
 //                            [--shards N] [--rate R] [--farfield G]
 //                            [--near-radius R] [--trace-out <spans.json>]
 //                            replay it online
-//   $ ./schedule_tool serve <in.inst> [--shards N] [--storage dense|tiled]
+//   $ ./schedule_tool serve <in.inst> [--shards N] [--storage dense|computed]
 //                           [--remove-policy rebuild|compensated|exact]
 //                           [--mobility] [--boundary-refresh N]
 //                           interactive admission service on stdin
@@ -86,19 +85,19 @@ int usage() {
       << "usage:\n"
          "  schedule_tool gen   <out.inst> <n> [seed]\n"
          "  schedule_tool run   <in.inst> <out.sched> [sqrt|greedy] "
-         "[gain|incremental|direct] [--storage dense|tiled]\n"
+         "[gain|incremental|direct]\n"
          "                      [--remove-policy rebuild|compensated|exact]\n"
          "  schedule_tool check <in.inst> <in.sched>\n"
          "  schedule_tool gen-trace <in.inst> <out.trace> "
          "[poisson|flash|adversarial|hotspot|growing|waypoint|commuter|"
          "flashmob] [events] [seed]\n"
          "  schedule_tool replay <in.inst> --trace <in.trace> "
-         "[--out <final.sched>] [--storage dense|tiled|computed]\n"
+         "[--out <final.sched>] [--storage dense|computed]\n"
          "                      [--remove-policy rebuild|compensated|exact] "
          "[--rebuild-interval N] [--shards N] [--rate R]\n"
          "                      [--farfield G] [--near-radius R] "
          "[--trace-out <spans.json>]\n"
-         "  schedule_tool serve <in.inst> [--shards N] [--storage dense|tiled]\n"
+         "  schedule_tool serve <in.inst> [--shards N] [--storage dense|computed]\n"
          "                      [--remove-policy rebuild|compensated|exact] "
          "[--mobility] [--boundary-refresh N]\n";
   return 2;
@@ -108,16 +107,6 @@ int usage() {
 int fail_loudly(const std::string& message) {
   std::cerr << "error: " << message << '\n';
   return 2;
-}
-
-/// Strict full-word positional number parse (strtoull accepts "12abc").
-bool parse_size_arg(const std::string& word, std::size_t& out) {
-  if (word.empty() || word.front() == '-') return false;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(word.c_str(), &end, 10);
-  if (end != word.c_str() + word.size()) return false;
-  out = static_cast<std::size_t>(value);
-  return true;
 }
 
 /// The fixed SINR parameters every subcommand evaluates under — one place,
@@ -148,30 +137,26 @@ int cmd_gen(int argc, char** argv) {
   if (!parsed) return fail_loudly(parsed.error());
   const std::vector<std::string>& args = parsed.value();
   if (args.size() < 2 || args.size() > 3) return usage();
-  std::size_t n = 0;
-  std::size_t seed = 1;
-  if (!parse_size_arg(args[1], n) || n == 0) {
-    return fail_loudly("gen: '" + args[1] + "' is not a positive link count");
-  }
-  if (args.size() > 2 && !parse_size_arg(args[2], seed)) {
-    return fail_loudly("gen: '" + args[2] + "' is not a seed");
-  }
-  Rng rng(static_cast<std::uint64_t>(seed));
-  const Instance instance = random_square(n, {}, rng);
+  const Expected<std::size_t> n = parse_size_word("gen: link count", args[1]);
+  if (!n) return fail_loudly(n.error());
+  if (n.value() == 0) return fail_loudly("gen: the link count must be positive");
+  const Expected<std::size_t> seed =
+      args.size() > 2 ? parse_size_word("gen: seed", args[2]) : Expected<std::size_t>(1);
+  if (!seed) return fail_loudly(seed.error());
+  Rng rng(static_cast<std::uint64_t>(seed.value()));
+  const Instance instance = random_square(n.value(), {}, rng);
   save_instance(args[0], instance);
   std::cout << "wrote " << instance.size() << " requests to " << args[0] << '\n';
   return 0;
 }
 
 int cmd_run(int argc, char** argv) {
-  GainBackend storage = GainBackend::dense;
   // The gain-engine accumulator arithmetic: rebuild = the historical
   // plain sequential sums (what the cross-engine identity gates pin),
   // exact = error-free expansion accumulators.
   RemovePolicy policy = RemovePolicy::rebuild;
   bool policy_given = false;
   OptionParser parser;
-  parser.add_storage(storage);
   parser.add_remove_policy(policy, &policy_given);
   const Expected<std::vector<std::string>> parsed = parser.parse(argc, argv, 2);
   if (!parsed) return fail_loudly(parsed.error());
@@ -198,7 +183,6 @@ int cmd_run(int argc, char** argv) {
     }
     SqrtColoringOptions options;
     options.engine = engine;
-    options.storage = storage;
     schedule =
         sqrt_coloring(instance.value(), params, Variant::bidirectional, options).schedule;
   } else if (algo == "greedy") {
@@ -209,7 +193,7 @@ int cmd_run(int argc, char** argv) {
     }
     const auto powers = SqrtPower{}.assign(instance.value(), params.alpha);
     schedule = greedy_coloring(instance.value(), powers, params, Variant::bidirectional,
-                               RequestOrder::longest_first, engine, storage, policy);
+                               RequestOrder::longest_first, engine, policy);
   } else {
     return fail_loudly("run: unknown algorithm '" + algo + "' (expected sqrt|greedy)");
   }
@@ -217,7 +201,7 @@ int cmd_run(int argc, char** argv) {
   save_schedule(args[1], schedule);
   std::cout << "scheduled " << instance.value().size() << " requests into "
             << schedule.num_colors << " colors (" << algo << ", engine "
-            << to_string(engine) << ", storage " << to_string(storage);
+            << to_string(engine);
   if (algo == "greedy" && engine == FeasibilityEngine::gain_matrix) {
     std::cout << ", remove policy " << to_string(policy);
   }
@@ -259,14 +243,15 @@ int cmd_gen_trace(int argc, char** argv) {
   const Instance& instance = loaded.value();
   const std::string& path = args[1];
   const std::string kind = args.size() > 2 ? args[2] : "poisson";
-  std::size_t events = 0;
-  std::size_t seed = 1;
-  if (args.size() > 3 && !parse_size_arg(args[3], events)) {
-    return fail_loudly("gen-trace: '" + args[3] + "' is not an event count");
-  }
-  if (args.size() > 4 && !parse_size_arg(args[4], seed)) {
-    return fail_loudly("gen-trace: '" + args[4] + "' is not a seed");
-  }
+  const Expected<std::size_t> parsed_events =
+      args.size() > 3 ? parse_size_word("gen-trace: event count", args[3])
+                      : Expected<std::size_t>(0);
+  if (!parsed_events) return fail_loudly(parsed_events.error());
+  const Expected<std::size_t> parsed_seed =
+      args.size() > 4 ? parse_size_word("gen-trace: seed", args[4]) : Expected<std::size_t>(1);
+  if (!parsed_seed) return fail_loudly(parsed_seed.error());
+  const std::size_t events = parsed_events.value();
+  const std::size_t seed = parsed_seed.value();
   const bool mobility = kind == "waypoint" || kind == "commuter" || kind == "flashmob";
   if (kind != "poisson" && kind != "flash" && kind != "adversarial" &&
       kind != "hotspot" && kind != "growing" && !mobility) {
@@ -280,7 +265,7 @@ int cmd_gen_trace(int argc, char** argv) {
                              instance.requests());
   } else if (kind == "growing") {
     // The first half of the instance is the starting universe; the second
-    // half arrives as fresh links over the appendable backend.
+    // half arrives as fresh links, growing the replay's dense table.
     const std::size_t n0 = std::max<std::size_t>(1, instance.size() / 2);
     if (n0 >= instance.size()) {
       return fail_loudly("growing traces need an instance with at least 2 requests");
@@ -414,13 +399,16 @@ int cmd_replay(int argc, char** argv) {
   OnlineSchedulerOptions options;
   options.remove_policy = policy;
   options.rebuild_interval = rebuild_interval;
-  options.storage = trace.value().has_fresh_links() ? GainBackend::appendable : storage;
+  options.storage = storage;
   // Endpoint motion mutates the gain tables, so the scheduler needs its
   // own matrix; moved links are re-powered by the same sqrt rule the
   // replay assigns everywhere else.
   options.mobility = trace.value().has_link_updates();
   if (trace.value().has_fresh_links() || trace.value().has_link_updates()) {
     options.fresh_power = std::make_shared<SqrtPower>();
+  }
+  if (trace.value().has_fresh_links() && storage != GainBackend::dense) {
+    return fail_loudly("the trace grows the universe, which needs --storage dense");
   }
   if (farfield > 0) {
     if (shards > 0) return fail_loudly("--farfield applies to bare replays only");
@@ -436,7 +424,6 @@ int cmd_replay(int argc, char** argv) {
   if (!trace_out_path.empty()) recorder = std::make_unique<obs::TraceRecorder>();
 
   if (shards > 0) {
-    options.storage = storage;  // the service rejects appendable itself
     const int rc = replay_via_service(base.value(), trace.value(), out_path, shards,
                                       rate, options, recorder.get());
     write_trace_out(recorder.get(), trace_out_path);
@@ -574,27 +561,33 @@ int cmd_serve(int argc, char** argv) {
       std::cout << '\n';
       continue;
     }
-    std::size_t link = 0;
+    if (verb != "admit" && verb != "release" && verb != "update") {
+      std::cout << "rejected: unknown command '" << verb << "'\n";
+      continue;
+    }
     std::string link_word;
-    if (!(words >> link_word) || !parse_size_arg(link_word, link)) {
+    words >> link_word;
+    const Expected<std::size_t> parsed_link = parse_size_word(verb, link_word);
+    if (!parsed_link) {
       std::cout << "rejected " << verb << ": needs a link index\n";
       continue;
     }
+    const std::size_t link = parsed_link.value();
     if (verb == "admit") {
       print_admit_result(verb, link, service.admit(AdmitRequest{link}));
     } else if (verb == "release") {
       print_admit_result(verb, link, service.release(ReleaseRequest{link}));
-    } else if (verb == "update") {
+    } else {
       std::string u_word, v_word;
-      std::size_t u = 0, v = 0;
-      if (!(words >> u_word >> v_word) || !parse_size_arg(u_word, u) ||
-          !parse_size_arg(v_word, v)) {
+      words >> u_word >> v_word;
+      const Expected<std::size_t> u = parse_size_word(verb, u_word);
+      const Expected<std::size_t> v = parse_size_word(verb, v_word);
+      if (!u || !v) {
         std::cout << "rejected update: needs <link> <u> <v>\n";
         continue;
       }
-      print_admit_result(verb, link, service.update(UpdateRequest{link, Request{u, v}}));
-    } else {
-      std::cout << "rejected: unknown command '" << verb << "'\n";
+      print_admit_result(verb, link,
+                         service.update(UpdateRequest{link, Request{u.value(), v.value()}}));
     }
   }
   service.drain();

@@ -27,8 +27,7 @@ DistributedResult distributed_coloring(const Instance& instance,
 
   std::shared_ptr<const GainMatrix> gains;
   if (options.engine == FeasibilityEngine::gain_matrix) {
-    gains = instance.gains(powers, params.alpha, variant, /*with_sender_gains=*/false,
-                           options.storage);
+    gains = instance.gains(powers, params.alpha, variant);
   }
 
   Rng rng(options.seed);

@@ -41,9 +41,6 @@ struct DistributedOptions {
   /// gain_matrix answers the per-slot SINR checks from precomputed tables;
   /// any other value recomputes from the metric. Identical results.
   FeasibilityEngine engine = FeasibilityEngine::gain_matrix;
-  /// Storage backend of the gain_matrix engine's tables (results are
-  /// backend-independent).
-  GainBackend storage = GainBackend::dense;
 };
 
 struct DistributedResult {

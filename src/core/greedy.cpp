@@ -46,9 +46,9 @@ class RecheckClass {
 /// pool: worker t probes classes t, t + T, t + 2T, ... in ascending order
 /// and stops at its first acceptor, so the minimum over workers is the
 /// lowest-index accepting class — the one sequential first-fit commits to.
-/// can_add is const on every engine (the lazy backends materialize tiles
-/// behind their own synchronization), so probing extra classes changes no
-/// state and the schedules stay bit-identical.
+/// can_add is const on every engine (and reads only shared dense tables), so
+/// probing extra classes changes no state and the schedules stay
+/// bit-identical.
 template <typename ClassT, typename Factory>
 Schedule first_fit_coloring(const Instance& instance, RequestOrder order,
                             const Factory& make_class, std::size_t scan_threads) {
@@ -114,8 +114,8 @@ std::vector<std::size_t> ordered_indices(const Instance& instance, RequestOrder 
 
 Schedule greedy_coloring(const Instance& instance, std::span<const double> powers,
                          const SinrParams& params, Variant variant, RequestOrder order,
-                         FeasibilityEngine engine, GainBackend storage,
-                         RemovePolicy policy, std::size_t scan_threads) {
+                         FeasibilityEngine engine, RemovePolicy policy,
+                         std::size_t scan_threads) {
   require(powers.size() == instance.size(), "greedy_coloring: one power per request");
   switch (engine) {
     case FeasibilityEngine::direct:
@@ -137,8 +137,7 @@ Schedule greedy_coloring(const Instance& instance, std::span<const double> power
     case FeasibilityEngine::gain_matrix:
       break;
   }
-  const auto gains =
-      instance.gains(powers, params.alpha, variant, /*with_sender_gains=*/false, storage);
+  const auto gains = instance.gains(powers, params.alpha, variant);
   return first_fit_coloring<IncrementalGainClass>(
       instance, order, [&] { return IncrementalGainClass(*gains, params, policy); },
       scan_threads);

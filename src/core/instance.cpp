@@ -24,19 +24,19 @@ struct Instance::GainCache {
     double alpha = 0.0;
     Variant variant = Variant::directed;
     bool with_sender_gains = false;
-    GainBackend backend = GainBackend::dense;
     std::once_flag built;
     std::unique_ptr<const GainMatrix> gains;  // set exactly once via `built`
 
     [[nodiscard]] bool matches(std::span<const double> p, double a, Variant v,
-                               bool sender, GainBackend b) const {
+                               bool sender) const {
       return a == alpha && v == variant && sender == with_sender_gains &&
-             b == backend && std::equal(p.begin(), p.end(), powers.begin(), powers.end());
+             std::equal(p.begin(), p.end(), powers.begin(), powers.end());
     }
   };
 
   /// Bounds the O(n^2)-sized tables kept alive per instance; in practice an
-  /// instance sees at most (powers x variant x backend) ~ 2-4 distinct keys.
+  /// instance sees at most (powers x variant x sender gains) ~ 2-4 distinct
+  /// keys.
   static constexpr std::size_t kMaxEntries = 4;
 
   std::mutex mutex;
@@ -61,15 +61,8 @@ Instance::Instance(std::shared_ptr<const MetricSpace> metric, std::vector<Reques
 
 std::shared_ptr<const GainMatrix> Instance::gains(std::span<const double> powers,
                                                   double alpha, Variant variant,
-                                                  bool with_sender_gains,
-                                                  GainBackend backend) const {
+                                                  bool with_sender_gains) const {
   require(powers.size() == requests_.size(), "Instance::gains: one power per request");
-  require(backend != GainBackend::appendable,
-          "Instance::gains: appendable tables grow and cannot be shared through the "
-          "cache; construct a GainMatrix directly");
-  require(backend != GainBackend::computed,
-          "Instance::gains: computed tables carry a single-owner row cache and "
-          "cannot be shared through the cache; construct a GainMatrix directly");
   // The bidirectional variant always builds the sender-side table, so the
   // flag changes nothing there — normalize it out of the key to avoid a
   // bit-identical duplicate build.
@@ -79,7 +72,7 @@ std::shared_ptr<const GainMatrix> Instance::gains(std::span<const double> powers
     std::lock_guard<std::mutex> lock(gain_cache_->mutex);
     auto& entries = gain_cache_->entries;
     for (std::size_t k = 0; k < entries.size(); ++k) {
-      if (entries[k]->matches(powers, alpha, variant, with_sender_gains, backend)) {
+      if (entries[k]->matches(powers, alpha, variant, with_sender_gains)) {
         if (k != 0) {
           std::rotate(entries.begin(), entries.begin() + k, entries.begin() + k + 1);
         }
@@ -95,7 +88,6 @@ std::shared_ptr<const GainMatrix> Instance::gains(std::span<const double> powers
       entry->alpha = alpha;
       entry->variant = variant;
       entry->with_sender_gains = with_sender_gains;
-      entry->backend = backend;
       entries.insert(entries.begin(), entry);
       // Eviction is safe mid-build elsewhere: every caller of an entry holds
       // its shared_ptr, so a popped entry finishes building and stays valid
@@ -108,7 +100,7 @@ std::shared_ptr<const GainMatrix> Instance::gains(std::span<const double> powers
   std::call_once(entry->built, [&] {
     entry->gains = std::make_unique<const GainMatrix>(
         *entry->metric, requests_, entry->powers, entry->alpha, entry->variant,
-        entry->with_sender_gains, entry->backend);
+        entry->with_sender_gains);
   });
   // The aliasing shared_ptr pins the whole entry (metric handle and the
   // matrix's own request/power copies) for as long as any caller holds it.

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "metric/metric_space.h"
-#include "sinr/gain_storage.h"
 #include "sinr/model.h"
 
 namespace oisched {
@@ -42,21 +41,22 @@ class Instance {
   /// {0, 1, ..., size()-1}; handy for whole-instance algorithm calls.
   [[nodiscard]] std::vector<std::size_t> all_indices() const;
 
-  /// The gain-matrix tables for (powers, alpha, variant, with_sender_gains,
-  /// backend), built on first use and cached (bitwise power equality keys
-  /// the cache; a handful of entries are kept, least-recently-used first
-  /// out; the sender-gains flag is ignored for the bidirectional variant,
-  /// which always builds that table). The returned matrix owns copies of
-  /// everything it references, so it stays valid even after eviction or the
-  /// instance's destruction. Thread-safe, with per-entry once-
-  /// initialization: a cold build runs outside the cache lock, so
-  /// concurrent hits on other keys never wait behind a miss — only callers
-  /// of the same key share (and wait for) its one build. The appendable
-  /// backend is rejected here: growable tables are single-owner by nature;
-  /// construct a GainMatrix directly instead.
+  /// The dense gain-matrix tables for (powers, alpha, variant,
+  /// with_sender_gains), built on first use and cached (bitwise power
+  /// equality keys the cache; a handful of entries are kept,
+  /// least-recently-used first out; the sender-gains flag is ignored for
+  /// the bidirectional variant, which always builds that table). The
+  /// returned matrix owns copies of everything it references, so it stays
+  /// valid even after eviction or the instance's destruction. Thread-safe,
+  /// with per-entry once-initialization: a cold build runs outside the
+  /// cache lock, so concurrent hits on other keys never wait behind a miss
+  /// — only callers of the same key share (and wait for) its one build.
+  /// Only dense tables are shared: growth, motion and the computed
+  /// backend's row cache are single-owner, so a scheduler needing them
+  /// constructs a GainMatrix directly.
   [[nodiscard]] std::shared_ptr<const GainMatrix> gains(
       std::span<const double> powers, double alpha, Variant variant,
-      bool with_sender_gains = false, GainBackend backend = GainBackend::dense) const;
+      bool with_sender_gains = false) const;
 
   /// Number of gain tables currently cached (tests observe eviction).
   [[nodiscard]] std::size_t cached_gain_tables() const;

@@ -93,26 +93,18 @@ class RoundSelector {
   /// Appends `chosen` to the selection, keeping the per-request interference
   /// accumulators of the gain path in sync (accumulation order matches the
   /// order selection_interference sums in, so both paths agree bit-for-bit).
-  /// The full-row accumulation walks resident row runs and streams them
-  /// through the slot-wise kernels — each acc slot still receives exactly
-  /// one add per chosen row, in ascending index order, so the sums match
-  /// the per-element loop this replaces bit for bit.
+  /// The full-row accumulation streams each chosen row through the
+  /// slot-wise kernels — each acc slot still receives exactly one add per
+  /// chosen row, in ascending index order, so the sums match the
+  /// per-element loop this replaces bit for bit.
   void extend_selection(std::span<const std::size_t> chosen) {
     selection_.insert(selection_.end(), chosen.begin(), chosen.end());
     if (gains_ == nullptr) return;
     const std::size_t n = instance_.size();
     for (const std::size_t s : chosen) {
-      for (std::size_t i = 0; i < n;) {
-        const std::span<const double> run = gains_->row_run_v(s, i);
-        kernels::acc_add_row(acc_v_.data() + i, run.data(), run.size());
-        i += run.size();
-      }
+      kernels::acc_add_row(acc_v_.data(), gains_->row_v(s).data(), n);
       if (variant_ != Variant::bidirectional) continue;
-      for (std::size_t i = 0; i < n;) {
-        const std::span<const double> run = gains_->row_run_u(s, i);
-        kernels::acc_add_row(acc_u_.data() + i, run.data(), run.size());
-        i += run.size();
-      }
+      kernels::acc_add_row(acc_u_.data(), gains_->row_u(s).data(), n);
     }
   }
 
@@ -387,8 +379,7 @@ SqrtColoringResult sqrt_coloring(const Instance& instance, const SinrParams& par
   if (options.engine == FeasibilityEngine::gain_matrix) {
     // The LP budgets interference at sender nodes too, so the directed
     // variant also needs the at_u table here.
-    gains = instance.gains(result.powers, params.alpha, variant,
-                           /*with_sender_gains=*/true, options.storage);
+    gains = instance.gains(result.powers, params.alpha, variant, /*with_sender_gains=*/true);
   }
 
   Rng rng(options.seed);

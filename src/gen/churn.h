@@ -13,9 +13,9 @@
 // dynamic benchmarks exercise: Poisson arrivals with exponential holding
 // times (steady churn), flash crowds (correlated bursts), adversarial
 // insert-then-delete chains (maximum recoloring pressure on a first-fit
-// maintainer), hotspot churn confined to a small window of a huge universe
-// (the tiled-backend workload), growing traces that interleave churn with
-// fresh-link introductions (the appendable-backend workload), and three
+// maintainer), hotspot churn confined to a small window of a huge universe,
+// growing traces that interleave churn with fresh-link introductions (the
+// workload of a dense table grown in place), and three
 // mobility regimes — random-waypoint wandering, commuter oscillation
 // between home and work anchors, and flash-mob drift toward a shared
 // hotspot — that interleave churn with endpoint motion. All generators are
@@ -133,9 +133,8 @@ struct HotspotChurnOptions {
 };
 
 /// Poisson churn confined to a small window of a huge universe — the
-/// workload of the tiled gain backend, whose resident memory follows the
-/// touched rows rather than the universe size (the large-scale
-/// locally-active regime of distributed SIR-aware scheduling).
+/// large-scale locally-active regime of distributed SIR-aware scheduling,
+/// where only the window's rows are ever read.
 [[nodiscard]] ChurnTrace hotspot_trace(std::size_t universe,
                                        const HotspotChurnOptions& options, Rng& rng);
 
@@ -150,7 +149,8 @@ struct GrowingChurnOptions {
 /// Poisson churn over a universe that grows: the fresh links are introduced
 /// (active, taking indices initial_universe, initial_universe + 1, ...)
 /// evenly across the event budget, join the churn pool, and depart like any
-/// other link — the appendable-backend workload. Throws PreconditionError
+/// other link — the workload of a scheduler-owned dense table grown in
+/// place (OnlineScheduler::on_link_arrival). Throws PreconditionError
 /// when max_events is too small to introduce the whole pool.
 [[nodiscard]] ChurnTrace growing_trace(std::size_t initial_universe,
                                        std::span<const Request> fresh_links,

@@ -5,21 +5,10 @@
 #include <utility>
 
 #include "sinr/feasibility.h"
-#include "sinr/gain_storage.h"
 #include "util/error.h"
 #include "util/stopwatch.h"
 
 namespace oisched {
-
-const char* to_string(CompactionVictim victim) noexcept {
-  switch (victim) {
-    case CompactionVictim::trailing:
-      return "trailing";
-    case CompactionVictim::smallest_first:
-      return "smallest_first";
-  }
-  return "unknown";
-}
 
 OnlineMetricIds OnlineMetricIds::register_in(obs::MetricsRegistry& registry,
                                              std::string labels) {
@@ -72,11 +61,8 @@ OnlineScheduler::OnlineScheduler(const Instance& instance, std::span<const doubl
       color_of_(instance.size(), -1) {
   require(powers_.size() == instance_.size(), "OnlineScheduler: one power per link");
   params_.validate();
-  require(!options_.reuse_slots || options_.storage == GainBackend::appendable,
-          "OnlineScheduler: slot reuse recycles rows of a growable matrix — it "
-          "needs the appendable backend");
-  if (options_.storage == GainBackend::appendable ||
-      options_.storage == GainBackend::computed || options_.mobility) {
+  if (options_.mobility || options_.fresh_power != nullptr ||
+      options_.storage == GainBackend::computed) {
     // A matrix that mutates (growth or endpoint motion) cannot be shared
     // through the instance cache — the scheduler owns it and is the only
     // writer. The computed backend's single-owner row cache keeps it out
@@ -87,8 +73,7 @@ OnlineScheduler::OnlineScheduler(const Instance& instance, std::span<const doubl
                                                 options_.storage);
     gains_ = owned_gains_;
   } else {
-    gains_ = instance.gains(powers_, params_.alpha, variant_,
-                            /*with_sender_gains=*/false, options_.storage);
+    gains_ = instance.gains(powers_, params_.alpha, variant_);
   }
   if (options_.farfield) {
     require(options_.remove_policy == RemovePolicy::exact,
@@ -105,11 +90,6 @@ OnlineScheduler::OnlineScheduler(const Instance& instance, std::span<const doubl
         std::vector<Request>(instance_.requests().begin(), instance_.requests().end()),
         powers_, params_.alpha, variant_, options_.farfield_options);
   }
-  if (options_.reuse_slots) {
-    slot_of_.resize(instance_.size());
-    ext_of_.resize(instance_.size());
-    for (std::size_t i = 0; i < instance_.size(); ++i) slot_of_[i] = ext_of_[i] = i;
-  }
 }
 
 int OnlineScheduler::color_of(std::size_t link) const {
@@ -117,7 +97,7 @@ int OnlineScheduler::color_of(std::size_t link) const {
   return color_of_[link];
 }
 
-int OnlineScheduler::place(std::size_t slot) {
+int OnlineScheduler::place(std::size_t link) {
   // First-fit in two phases so the trace separates "finding a color"
   // (row scans against every class's accumulators) from "committing it"
   // (one class's accumulator update) — same scan-then-add the fused loop
@@ -126,7 +106,7 @@ int OnlineScheduler::place(std::size_t slot) {
   {
     OISCHED_TRACE_SPAN(options_.telemetry.trace, "feasibility_scan");
     for (std::size_t c = 0; c < classes_.size(); ++c) {
-      if (classes_[c].can_add(slot)) {
+      if (classes_[c].can_add(link)) {
         color = static_cast<int>(c);
         break;
       }
@@ -134,12 +114,12 @@ int OnlineScheduler::place(std::size_t slot) {
   }
   OISCHED_TRACE_SPAN(options_.telemetry.trace, "accumulator_update");
   if (color >= 0) {
-    classes_[static_cast<std::size_t>(color)].add(slot);
+    classes_[static_cast<std::size_t>(color)].add(link);
     return color;
   }
   classes_.emplace_back(*gains_, params_, options_.remove_policy,
                         options_.rebuild_interval, farfield_.get());
-  classes_.back().add(slot);
+  classes_.back().add(link);
   ++stats_.classes_opened;
   return static_cast<int>(classes_.size() - 1);
 }
@@ -177,12 +157,10 @@ void OnlineScheduler::publish_event(const OnlineStats& before, double elapsed_se
 int OnlineScheduler::on_arrival(std::size_t link) {
   require(link < color_of_.size(), "OnlineScheduler: link index out of range");
   require(color_of_[link] < 0, "OnlineScheduler: arrival of an already active link");
-  require(!options_.reuse_slots || slot_of_[link] != kNoSlot,
-          "OnlineScheduler: arrival of a retired link");
   const bool telemetry = options_.telemetry.shard != nullptr;
   const OnlineStats before = telemetry ? stats_ : OnlineStats{};
   Stopwatch watch;
-  const int color = place(phys(link));
+  const int color = place(link);
   color_of_[link] = color;
   ++active_count_;
   ++stats_.arrivals;
@@ -196,10 +174,10 @@ int OnlineScheduler::on_arrival(std::size_t link) {
 }
 
 int OnlineScheduler::on_link_arrival(const Request& request) {
-  require(options_.storage == GainBackend::appendable,
-          "OnlineScheduler: growing the universe needs the appendable backend");
   require(options_.fresh_power != nullptr,
           "OnlineScheduler: fresh links need an oblivious power rule (fresh_power)");
+  require(options_.storage == GainBackend::dense,
+          "OnlineScheduler: growing the universe needs the dense backend");
   require(request.u < instance_.metric().size() && request.v < instance_.metric().size(),
           "OnlineScheduler: fresh link endpoint out of metric range");
   const bool telemetry = options_.telemetry.shard != nullptr;
@@ -210,38 +188,12 @@ int OnlineScheduler::on_link_arrival(const Request& request) {
   const double loss = link_loss(instance_.metric(), request, params_.alpha);
   require(loss > 0.0, "OnlineScheduler: fresh link endpoints must be distinct points");
   const double power = options_.fresh_power->power_for_loss(loss);
-  const std::size_t link = color_of_.size();
-  std::size_t slot;
-  if (options_.reuse_slots && !free_slots_.empty()) {
-    // Recycle a retired slot: rewrite its row/column in place, bracketed
-    // like a link_update so every class swaps the zombie's stale (inactive,
-    // so never consulted) contribution for the fresh link's.
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    for (IncrementalGainClass& cls : classes_) cls.begin_link_update(slot);
-    owned_gains_->update_request(slot, request, power);
-    powers_[slot] = power;
-    if (farfield_ != nullptr) farfield_->update_link(slot, request, power);
-    for (IncrementalGainClass& cls : classes_) {
-      const std::size_t rebuilds_before = cls.removal_rebuilds();
-      cls.finish_link_update(slot);
-      stats_.removal_rebuilds += cls.removal_rebuilds() - rebuilds_before;
-    }
-    slot_of_.push_back(slot);
-    ext_of_[slot] = link;
-    ++stats_.reused_slots;
-  } else {
-    slot = owned_gains_->append_request(request, power);
-    powers_.push_back(power);
-    if (farfield_ != nullptr) farfield_->append_link(request, power);
-    if (options_.reuse_slots) {
-      slot_of_.push_back(slot);
-      ext_of_.push_back(link);
-    }
-    for (IncrementalGainClass& cls : classes_) cls.sync_universe();
-  }
+  const std::size_t link = owned_gains_->append_request(request, power);
+  powers_.push_back(power);
+  if (farfield_ != nullptr) farfield_->append_link(request, power);
+  for (IncrementalGainClass& cls : classes_) cls.sync_universe();
   color_of_.push_back(-1);
-  const int color = place(slot);
+  const int color = place(link);
   color_of_[link] = color;
   ++active_count_;
   ++stats_.arrivals;
@@ -257,8 +209,8 @@ int OnlineScheduler::on_link_arrival(const Request& request) {
 
 int OnlineScheduler::on_link_update(std::size_t link, const Request& request) {
   require(owned_gains_ != nullptr,
-          "OnlineScheduler: endpoint motion needs the mobility option (or the "
-          "appendable backend) — the shared gain cache must never mutate");
+          "OnlineScheduler: endpoint motion needs the mobility option — the "
+          "shared gain cache must never mutate");
   require(link < color_of_.size(), "OnlineScheduler: link index out of range");
   const int color = color_of_[link];
   require(color >= 0, "OnlineScheduler: update of an inactive link");
@@ -274,7 +226,6 @@ int OnlineScheduler::on_link_update(std::size_t link, const Request& request) {
   const double power = options_.fresh_power != nullptr
                            ? options_.fresh_power->power_for_loss(loss)
                            : powers_[link];
-  const std::size_t slot = phys(link);
   {
     OISCHED_TRACE_SPAN(options_.telemetry.trace, "accumulator_update");
     // Bracket the table refresh: every class first subtracts what it read
@@ -282,13 +233,13 @@ int OnlineScheduler::on_link_update(std::size_t link, const Request& request) {
     // then the matrix and the far-field context move the link, then every
     // class adds the new row back under the new geometry and re-derives
     // the link's own slot.
-    for (IncrementalGainClass& cls : classes_) cls.begin_link_update(slot);
-    owned_gains_->update_request(slot, request, power);
-    powers_[slot] = power;
-    if (farfield_ != nullptr) farfield_->update_link(slot, request, power);
+    for (IncrementalGainClass& cls : classes_) cls.begin_link_update(link);
+    owned_gains_->update_request(link, request, power);
+    powers_[link] = power;
+    if (farfield_ != nullptr) farfield_->update_link(link, request, power);
     for (IncrementalGainClass& cls : classes_) {
       const std::size_t rebuilds_before = cls.removal_rebuilds();
-      cls.finish_link_update(slot);
+      cls.finish_link_update(link);
       stats_.removal_rebuilds += cls.removal_rebuilds() - rebuilds_before;
     }
   }
@@ -302,11 +253,11 @@ int OnlineScheduler::on_link_update(std::size_t link, const Request& request) {
     // Eviction restores the survivors (interference sums only shrink);
     // then the moved link is re-placed like a fresh arrival.
     const std::size_t rebuilds_before = owner.removal_rebuilds();
-    owner.remove(slot);
+    owner.remove(link);
     stats_.removal_rebuilds += owner.removal_rebuilds() - rebuilds_before;
     color_of_[link] = -1;
     compact_from(static_cast<std::size_t>(color));
-    new_color = place(slot);
+    new_color = place(link);
     color_of_[link] = new_color;
     ++stats_.update_migrations;
     stats_.peak_colors = std::max(stats_.peak_colors, num_colors());
@@ -330,7 +281,7 @@ void OnlineScheduler::on_departure(std::size_t link) {
     OISCHED_TRACE_SPAN(options_.telemetry.trace, "accumulator_update");
     IncrementalGainClass& cls = classes_[static_cast<std::size_t>(color)];
     const std::size_t rebuilds_before = cls.removal_rebuilds();
-    cls.remove(phys(link));
+    cls.remove(link);
     stats_.removal_rebuilds += cls.removal_rebuilds() - rebuilds_before;
   }
   color_of_[link] = -1;
@@ -347,19 +298,6 @@ void OnlineScheduler::on_departure(std::size_t link) {
   if (telemetry) publish_event(before, elapsed);
 }
 
-void OnlineScheduler::retire_link(std::size_t link) {
-  require(options_.reuse_slots,
-          "OnlineScheduler: retiring links needs the reuse_slots option");
-  require(link < color_of_.size(), "OnlineScheduler: link index out of range");
-  require(color_of_[link] < 0, "OnlineScheduler: retire of an active link");
-  const std::size_t slot = slot_of_[link];
-  require(slot != kNoSlot, "OnlineScheduler: link already retired");
-  slot_of_[link] = kNoSlot;
-  ext_of_[slot] = kNoSlot;
-  free_slots_.push_back(slot);
-  ++stats_.retired_links;
-}
-
 void OnlineScheduler::compact_from(std::size_t color) {
   // Drop the shrunken class outright when the departure emptied it.
   if (classes_[color].size() == 0) {
@@ -370,10 +308,6 @@ void OnlineScheduler::compact_from(std::size_t color) {
     }
   }
   if (!options_.compact_on_departure) return;
-  if (options_.compaction_victim == CompactionVictim::smallest_first) {
-    compact_smallest();
-    return;
-  }
   // Opportunistic compaction: migrate members of the trailing class into
   // earlier classes; when the trailing class drains completely the color
   // count shrinks, and the now-trailing class gets the same chance. An
@@ -391,7 +325,7 @@ void OnlineScheduler::compact_from(std::size_t color) {
           classes_[last].remove(m);
           stats_.removal_rebuilds += classes_[last].removal_rebuilds() - rebuilds_before;
           classes_[c].add(m);
-          color_of_[ext(m)] = static_cast<int>(c);
+          color_of_[m] = static_cast<int>(c);
           ++stats_.migrations;
           moved = true;
           break;
@@ -404,51 +338,6 @@ void OnlineScheduler::compact_from(std::size_t color) {
     if (classes_[last].size() > 0) break;
     classes_.pop_back();
     ++stats_.classes_closed;
-  }
-}
-
-void OnlineScheduler::compact_smallest() {
-  // Size-ordered victim selection: the cheapest class to dissolve is the
-  // smallest one, wherever it sits in the palette — a small class stuck in
-  // the middle is exactly what the trailing-only pass never revisits.
-  // Ties go to the lowest color (first-fit keeps the crowded classes
-  // early, so a late same-size class is likelier to hold the immovable
-  // stragglers). A drained victim frees its color and the next-smallest
-  // gets a turn; an immovable member ends the pass (its class was the
-  // cheapest, so dissolving any other is no easier — and per-event work
-  // stays bounded).
-  while (classes_.size() > 1) {
-    std::size_t victim = 0;
-    for (std::size_t c = 1; c < classes_.size(); ++c) {
-      if (classes_[c].size() < classes_[victim].size()) victim = c;
-    }
-    const std::vector<std::size_t> members = classes_[victim].members();
-    for (const std::size_t m : members) {
-      bool moved = false;
-      for (std::size_t c = 0; c < classes_.size(); ++c) {
-        if (c == victim) continue;
-        if (classes_[c].can_add(m)) {
-          const std::size_t rebuilds_before = classes_[victim].removal_rebuilds();
-          classes_[victim].remove(m);
-          stats_.removal_rebuilds +=
-              classes_[victim].removal_rebuilds() - rebuilds_before;
-          classes_[c].add(m);
-          color_of_[ext(m)] = static_cast<int>(c);
-          ++stats_.migrations;
-          moved = true;
-          break;
-        }
-      }
-      if (!moved) ++stats_.compaction_skips;
-    }
-    if (classes_[victim].size() > 0) break;
-    // Erasing mid-palette renumbers every color above the victim —
-    // including members just migrated into those classes.
-    classes_.erase(classes_.begin() + static_cast<std::ptrdiff_t>(victim));
-    ++stats_.classes_closed;
-    for (int& c : color_of_) {
-      if (c > static_cast<int>(victim)) --c;
-    }
   }
 }
 
@@ -486,7 +375,7 @@ bool OnlineScheduler::validate_against_direct(double* worst_margin) const {
     ensure(!members.empty(), "OnlineScheduler: compaction must drop empty classes");
     members_seen += members.size();
     for (const std::size_t m : members) {
-      ensure(color_of_[ext(m)] == static_cast<int>(c),
+      ensure(color_of_[m] == static_cast<int>(c),
              "OnlineScheduler: class membership and coloring diverged");
     }
     // The matrix's own request copy covers links appended after
@@ -511,27 +400,11 @@ bool OnlineScheduler::validate_against_direct(double* worst_margin) const {
 
 void register_gain_metrics(obs::MetricsRegistry& registry,
                            const OnlineScheduler& scheduler, std::string labels) {
-  const obs::MetricId resident = registry.gauge(
-      "oisched_gain_resident_doubles",
-      "Gain-table entries resident in memory (lazy backends count "
-      "materialized tiles)",
-      labels);
-  const obs::MetricId touched = registry.gauge(
-      "oisched_gain_touched_tiles", "Tiles materialized so far (tiled backend)", labels);
-  const obs::MetricId total = registry.gauge(
-      "oisched_gain_total_tiles", "Tiles the full table would need (tiled backend)",
-      std::move(labels));
-  registry.add_collector([&scheduler, resident, touched, total](obs::MetricsShard& sink) {
-    const GainMatrix& gains = scheduler.gains();
-    sink.set(resident, static_cast<double>(gains.resident_doubles()));
-    std::size_t touched_tiles = gains.receiver_storage().touched_blocks();
-    std::size_t total_tiles = gains.receiver_storage().total_blocks();
-    if (const GainStorage* sender = gains.sender_storage()) {
-      touched_tiles += sender->touched_blocks();
-      total_tiles += sender->total_blocks();
-    }
-    sink.set(touched, static_cast<double>(touched_tiles));
-    sink.set(total, static_cast<double>(total_tiles));
+  const obs::MetricId resident =
+      registry.gauge("oisched_gain_resident_doubles",
+                     "Gain-table entries resident in memory", std::move(labels));
+  registry.add_collector([&scheduler, resident](obs::MetricsShard& sink) {
+    sink.set(resident, static_cast<double>(scheduler.gains().resident_doubles()));
   });
 }
 
@@ -562,8 +435,6 @@ ReplayResult replay_trace(OnlineScheduler& scheduler, const ChurnTrace& trace,
   result.stats.removal_rebuilds -= before.removal_rebuilds;
   result.stats.bound_hits -= before.bound_hits;
   result.stats.exact_fallbacks -= before.exact_fallbacks;
-  result.stats.retired_links -= before.retired_links;
-  result.stats.reused_slots -= before.reused_slots;
   result.stats.total_event_seconds -= before.total_event_seconds;
   result.events_per_sec =
       result.wall_seconds > 0.0

@@ -1,7 +1,7 @@
 // Online scheduling: incremental maintenance of a valid coloring under a
-// stream of link arrivals and departures — and, on the appendable gain
-// backend, under universe growth; with the mobility option, under
-// endpoint motion too (link_update events refresh the moved link's gain
+// stream of link arrivals and departures — and, with a fresh_power rule,
+// under universe growth; with the mobility option, under endpoint motion
+// too (link_update events refresh the moved link's gain
 // row/column in place and re-validate its class).
 //
 // The paper's oblivious power assignments are exactly the regime where the
@@ -9,7 +9,7 @@
 // own length, so links can come and go (and brand-new links can appear)
 // without re-deriving anything global. OnlineScheduler exploits that: it
 // obtains the gain tables for the link universe once (via the per-Instance
-// cache, or an appendable matrix of its own when the universe may grow),
+// cache, or a matrix of its own when the universe may grow or move),
 // then serves each arrival with a first-fit scan over IncrementalGainClass
 // accumulators (O(colors * class size) table lookups, no distance or pow
 // work), each fresh link with an O(n) table append plus the same first-fit
@@ -17,9 +17,7 @@
 // opportunistic compaction pass that migrates members out of the last
 // class when earlier ones can absorb them. With the farfield option the
 // per-class feasibility tests consult spatial-cell interference bounds
-// first (sinr/farfield.h) and touch the gain row only on a fallback, and
-// with reuse_slots retired links hand their table rows to future fresh
-// links so the matrix stops growing without bound under churn.
+// first (sinr/farfield.h) and touch the gain row only on a fallback.
 // Throughput (events/sec),
 // recolorings and per-event latency are the headline metrics; replay_trace
 // drives a whole ChurnTrace and reports them. The final state re-validates
@@ -81,20 +79,6 @@ struct OnlineTelemetry {
   obs::TraceTrack* trace = nullptr;
 };
 
-/// Which class a post-departure compaction pass tries to dissolve.
-enum class CompactionVictim {
-  /// Historical behaviour: only the trailing (highest-color) class is a
-  /// candidate — cheap, but an adversarially placed small class in the
-  /// middle of the palette is never revisited.
-  trailing,
-  /// Pick the smallest live class (ties to the highest color) anywhere in
-  /// the palette. Dissolving the cheapest victim first reclaims colors a
-  /// trailing-only pass provably skips.
-  smallest_first,
-};
-
-[[nodiscard]] const char* to_string(CompactionVictim victim) noexcept;
-
 struct OnlineSchedulerOptions {
   /// How classes restore their accumulators on departure. The default
   /// (exact) removes in O(n) with zero rounding error — expansion
@@ -114,25 +98,23 @@ struct OnlineSchedulerOptions {
   /// still gets its chance to move (skips land in
   /// stats().compaction_skips).
   bool compact_on_departure = true;
-  /// Victim-selection rule of the compaction pass (see CompactionVictim).
-  /// The default keeps the historical trailing-only behaviour.
-  CompactionVictim compaction_victim = CompactionVictim::trailing;
-  /// Gain-table backend. dense/tiled serve a fixed universe from the
-  /// instance's shared cache (tiled keeps huge, sparsely active universes
-  /// memory-bounded); appendable gives the scheduler its own growable
-  /// matrix and unlocks on_link_arrival.
+  /// Gain-table backend. dense serves a fixed universe from the instance's
+  /// shared cache unless the scheduler must own its matrix (mobility or a
+  /// fresh_power rule); computed gives the scheduler its own tableless
+  /// matrix, for universes too large for n^2 doubles.
   GainBackend storage = GainBackend::dense;
   /// Accept link_update (endpoint motion) events: gives the scheduler a
-  /// privately owned gain matrix on every backend — the instance's shared
-  /// gain cache must never mutate — whose row/column for a moved link is
-  /// refreshed in place. The appendable backend always owns its matrix,
-  /// so it accepts motion regardless of this flag.
+  /// privately owned gain matrix — the instance's shared gain cache must
+  /// never mutate — whose row/column for a moved link is refreshed in
+  /// place. A scheduler that owns its matrix for another reason (a
+  /// fresh_power rule, the computed backend) accepts motion too.
   bool mobility = false;
   /// Oblivious power rule for fresh links (required to accept
-  /// link_arrival events): a new link's power is derived from its own
-  /// length alone, never from the rest of the request set. A moved link
-  /// is re-powered by the same rule (its length changed); without one it
-  /// keeps its original power.
+  /// link_arrival events, which also need the dense backend): a new link's
+  /// power is derived from its own length alone, never from the rest of
+  /// the request set, so the scheduler's own dense table grows in place. A
+  /// moved link is re-powered by the same rule (its length changed);
+  /// without one it keeps its original power.
   std::shared_ptr<const PowerAssignment> fresh_power;
   /// Far-field mode: build a FarFieldContext over the instance's Euclidean
   /// metric and hand it to every color class, so feasibility tests are
@@ -143,13 +125,6 @@ struct OnlineSchedulerOptions {
   bool farfield = false;
   /// Grid shape of far-field mode (ignored unless farfield is set).
   FarFieldOptions farfield_options;
-  /// Recycle the physical gain-table slots of retired links (appendable
-  /// backend only): retire_link frees an inactive link's slot, and the
-  /// next fresh link rewrites that row in place instead of growing the
-  /// matrix — the fix for the churn leak where an appendable universe
-  /// only ever grew. External link ids stay stable and keep growing; the
-  /// remap is invisible in color_of()/snapshot().
-  bool reuse_slots = false;
   /// Metric/trace sinks (see OnlineTelemetry); both null by default. The
   /// shard and track must outlive the scheduler.
   OnlineTelemetry telemetry;
@@ -184,10 +159,6 @@ struct OnlineStats {
   /// FarFieldContext counters, refreshed after every event.
   std::size_t bound_hits = 0;
   std::size_t exact_fallbacks = 0;
-  /// Slot-reuse mode only: links retired via retire_link, and fresh links
-  /// that recycled a retired slot instead of growing the matrix.
-  std::size_t retired_links = 0;
-  std::size_t reused_slots = 0;
   int peak_colors = 0;
   double total_event_seconds = 0.0;
   double max_event_seconds = 0.0;
@@ -202,12 +173,12 @@ class OnlineScheduler {
   /// The instance seeds the link universe; traces address links by request
   /// index. Powers/params/variant are fixed for the scheduler's lifetime —
   /// oblivious assignments make that sound, since a link's power never
-  /// depends on who else is active. On the dense/tiled backends the gain
-  /// tables come from the instance's shared cache, so repeated replays
-  /// (and offline algorithms on the same instance) pay the build once; the
-  /// appendable backend builds a private growable matrix instead, and
-  /// on_link_arrival extends the universe past the instance (fresh
-  /// endpoints must be nodes of the instance's metric).
+  /// depends on who else is active. A dense scheduler without mobility or a
+  /// fresh_power rule takes its gain tables from the instance's shared
+  /// cache, so repeated replays (and offline algorithms on the same
+  /// instance) pay the build once; otherwise it builds a private matrix,
+  /// and on_link_arrival grows it past the instance (fresh endpoints must
+  /// be nodes of the instance's metric).
   OnlineScheduler(const Instance& instance, std::span<const double> powers,
                   const SinrParams& params, Variant variant,
                   OnlineSchedulerOptions options = {});
@@ -216,34 +187,26 @@ class OnlineScheduler {
   /// classes, opening a new one when none is feasible. Returns its color.
   int on_arrival(std::size_t link);
 
-  /// Grows the universe by one brand-new link (appendable backend with a
+  /// Grows the universe by one brand-new link (dense backend with a
   /// fresh_power rule only): derives its oblivious power from its own
-  /// length, appends its gain row/column in O(n), and places it like any
-  /// arrival. Returns its color; the link owns index universe() - 1
+  /// length, appends its gain row/column in amortized O(n), and places it
+  /// like any arrival. Returns its color; the link owns index universe() - 1
   /// afterwards.
   int on_link_arrival(const Request& request);
 
-  /// Moves an active link to new endpoints (mobility option or appendable
-  /// backend only): re-derives its oblivious power from the new length
-  /// (when a fresh_power rule is set), refreshes its gain row/column in
-  /// place, updates every class's accumulators exactly, and re-validates
-  /// the moved link's class — when motion broke it, the link is evicted
-  /// and re-placed first-fit (counted in stats().update_migrations). Only
-  /// the moved link's own class can break: everywhere else the stale
-  /// contribution is simply replaced. Returns the link's (possibly new)
-  /// color.
+  /// Moves an active link to new endpoints (only when the scheduler owns its
+  /// matrix — see OnlineSchedulerOptions::mobility): re-derives its
+  /// oblivious power from the new length (when a fresh_power rule is set),
+  /// refreshes its gain row/column in place, updates every class's
+  /// accumulators exactly, and re-validates the moved link's class — when
+  /// motion broke it, the link is evicted and re-placed first-fit (counted
+  /// in stats().update_migrations). Only the moved link's own class can
+  /// break: everywhere else the stale contribution is simply replaced.
+  /// Returns the link's (possibly new) color.
   int on_link_update(std::size_t link, const Request& request);
 
   /// Deactivates a link (must be active), compacting classes per options.
   void on_departure(std::size_t link);
-
-  /// Frees an inactive link's physical gain-table slot for reuse by a
-  /// future fresh link (reuse_slots option only). The external link id
-  /// stays allocated but can never become active again; color_of() keeps
-  /// reporting -1 for it. Retiring is the caller's promise that the trace
-  /// will not revive this id — growing traces recycle departed fresh
-  /// links, so departure alone must never retire.
-  void retire_link(std::size_t link);
 
   /// Dispatches one trace event to on_arrival/on_link_arrival/
   /// on_link_update/on_departure.
@@ -271,10 +234,6 @@ class OnlineScheduler {
   [[nodiscard]] const FarFieldContext* farfield() const noexcept {
     return farfield_.get();
   }
-  /// Physical gain-table slots currently allocated — equals universe()
-  /// except in reuse_slots mode, where it is bounded by the peak number of
-  /// simultaneously live (active or unretired) links.
-  [[nodiscard]] std::size_t physical_slots() const noexcept { return powers_.size(); }
 
   /// The current coloring: -1 for inactive links, colors dense in
   /// [0, num_colors) otherwise.
@@ -288,21 +247,8 @@ class OnlineScheduler {
   [[nodiscard]] bool validate_against_direct(double* worst_margin = nullptr) const;
 
  private:
-  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-
-  int place(std::size_t slot);           // first-fit; returns the color used
+  int place(std::size_t link);           // first-fit; returns the color used
   void compact_from(std::size_t color);  // drop empty / migrate per options
-  void compact_smallest();               // smallest_first victim loop
-  /// External link id <-> physical gain-table slot. Identity except in
-  /// reuse_slots mode: classes, the gain matrix, powers_ and the far-field
-  /// context speak physical slots; color_of_, universe() and traces speak
-  /// external ids.
-  [[nodiscard]] std::size_t phys(std::size_t link) const noexcept {
-    return options_.reuse_slots ? slot_of_[link] : link;
-  }
-  [[nodiscard]] std::size_t ext(std::size_t slot) const noexcept {
-    return options_.reuse_slots ? ext_of_[slot] : slot;
-  }
   /// Mirrors the far-field context's counters into stats_ (no-op without
   /// a context). Called at the end of every event handler.
   void sync_farfield_stats();
@@ -316,19 +262,14 @@ class OnlineScheduler {
   SinrParams params_;
   Variant variant_;
   OnlineSchedulerOptions options_;
-  /// Set on the appendable backend and whenever options.mobility is on:
-  /// the scheduler's private mutable matrix (gains_ aliases it there).
+  /// Set whenever the scheduler owns its matrix (mobility, fresh_power or
+  /// computed): the private mutable matrix (gains_ aliases it there).
   std::shared_ptr<GainMatrix> owned_gains_;
   std::shared_ptr<const GainMatrix> gains_;
   /// Far-field geometry/counters shared by every class (farfield option).
   std::shared_ptr<FarFieldContext> farfield_;
   std::vector<IncrementalGainClass> classes_;
   std::vector<int> color_of_;
-  /// reuse_slots mode only: external -> physical (kNoSlot once retired),
-  /// physical -> external, and the LIFO free list of retired slots.
-  std::vector<std::size_t> slot_of_;
-  std::vector<std::size_t> ext_of_;
-  std::vector<std::size_t> free_slots_;
   std::size_t active_count_ = 0;
   OnlineStats stats_;
 };
@@ -361,11 +302,10 @@ struct ReplayResult {
                                         const ChurnTrace& trace,
                                         bool validate_final = true);
 
-/// Registers scrape-time gauges over the scheduler's gain storage —
-/// oisched_gain_resident_doubles always, plus touched/total tile gauges
-/// on the tiled backend (all read from the storage's own atomic-backed
-/// accessors, so sampling is safe while the scheduler runs). The
-/// scheduler must outlive every subsequent registry scrape.
+/// Registers a scrape-time oisched_gain_resident_doubles gauge over the
+/// scheduler's gain tables (GainMatrix::resident_doubles, safe to sample
+/// while the scheduler runs). The scheduler must outlive every subsequent
+/// registry scrape.
 void register_gain_metrics(obs::MetricsRegistry& registry,
                            const OnlineScheduler& scheduler, std::string labels = "");
 

@@ -7,7 +7,6 @@
 #include <thread>
 #include <utility>
 
-#include "sinr/gain_storage.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -64,10 +63,6 @@ SchedulerService::SchedulerService(const Instance& instance,
   require(options_.num_shards >= 1, "SchedulerService: num_shards must be >= 1");
   require(options_.num_shards <= instance.size(),
           "SchedulerService: more shards than links");
-  require(options_.scheduler.storage != GainBackend::appendable,
-          "SchedulerService: the appendable backend (universe growth) is not "
-          "supported under sharding — fresh links would need a coordinated "
-          "index across every shard's tables");
   // Telemetry registration runs BEFORE any obs shard is created (a
   // shard's slot table is fixed at creation) and before the schedulers
   // are built (each gets its sinks through its options).
@@ -94,6 +89,9 @@ SchedulerService::SchedulerService(const Instance& instance,
     }
     submitted_metric_ = registry->counter("oisched_service_submitted_total",
                                           "Events accepted into a shard queue");
+    refused_metric_ = registry->counter(
+        "oisched_service_refused_total",
+        "Events refused before routing (out-of-range link, link_arrival, stopped)");
     boundary_refreshes_metric_ =
         registry->counter("oisched_service_boundary_refreshes_total",
                           "Boundary-summary publications across all shards");
@@ -109,10 +107,6 @@ SchedulerService::SchedulerService(const Instance& instance,
     gain_resident_metric_ = registry->gauge(
         "oisched_gain_resident_doubles",
         "Gain-table entries resident across the shards' distinct matrices");
-    gain_touched_metric_ = registry->gauge(
-        "oisched_gain_touched_tiles", "Tiles materialized so far (tiled backend)");
-    gain_total_metric_ = registry->gauge(
-        "oisched_gain_total_tiles", "Tiles the full tables would need (tiled backend)");
     ingest_shard_ = &registry->create_shard();
   }
   // Sequential construction: the first shard pays the instance's gain-table
@@ -160,33 +154,19 @@ SchedulerService::SchedulerService(const Instance& instance,
       sink.set(boundary_gain_metric_, report.max_boundary_gain);
       sink.set(boundary_packable_metric_,
                static_cast<double>(report.packable_class_pairs));
-      // Gain-storage residency over the DISTINCT matrices (dense/tiled
-      // shards share the instance's cached tables; mobility gives each
-      // shard a private one). The tiled accessors are atomic-backed, so
-      // sampling while shards run is safe.
+      // Gain-table residency over the DISTINCT matrices (shards without
+      // mobility share the instance's cached tables; an owned matrix is
+      // private to its shard). GainMatrix::resident_doubles is safe to
+      // sample while the shards run.
       std::vector<const GainMatrix*> seen;
       std::size_t resident = 0;
-      std::size_t touched = 0;
-      std::size_t total = 0;
       for (const auto& shard : shards_) {
         const GainMatrix* gains = &shard->scheduler.gains();
         if (std::find(seen.begin(), seen.end(), gains) != seen.end()) continue;
         seen.push_back(gains);
         resident += gains->resident_doubles();
-        if (const auto* tiled =
-                dynamic_cast<const TiledGainStorage*>(&gains->receiver_storage())) {
-          touched += tiled->touched_tiles();
-          total += tiled->total_tiles();
-        }
-        if (const auto* tiled =
-                dynamic_cast<const TiledGainStorage*>(gains->sender_storage())) {
-          touched += tiled->touched_tiles();
-          total += tiled->total_tiles();
-        }
       }
       sink.set(gain_resident_metric_, static_cast<double>(resident));
-      sink.set(gain_touched_metric_, static_cast<double>(touched));
-      sink.set(gain_total_metric_, static_cast<double>(total));
     });
   }
   for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -205,29 +185,31 @@ std::size_t SchedulerService::universe() const noexcept { return instance_.size(
 
 Expected<void> SchedulerService::route(const ChurnEvent& event, Completion* completion,
                                        Stopwatch::TimePoint submitted) {
+  std::string refusal;
   if (event.kind == ChurnEvent::Kind::link_arrival) {
-    return fail(
-        "SchedulerService: link_arrival (universe growth) is not supported "
-        "under sharding");
+    refusal =
+        "SchedulerService: link_arrival (universe growth) is not supported under sharding";
+  } else if (event.link >= universe()) {
+    refusal = "SchedulerService: link " + std::to_string(event.link) +
+              " is out of range (universe " + std::to_string(universe()) + ")";
   }
-  if (event.link >= universe()) {
-    return fail("SchedulerService: link " + std::to_string(event.link) +
-                " is out of range (universe " + std::to_string(universe()) + ")");
-  }
-  Shard& shard = *shards_[shard_of(event.link)];
-  ServiceEvent record{event, submitted, completion};
   // Counting and enqueueing under one lock makes submitted_ >= processed
   // an invariant drain() can wait on; push() takes the queue's own mutex
   // inside ours (shard threads never hold theirs while taking ours, so the
-  // order is acyclic).
+  // order is acyclic). Refusals are counted under the same lock, which
+  // keeps the ingest obs shard single-writer.
   std::lock_guard<std::mutex> lock(state_mutex_);
-  if (stopped_) return fail("SchedulerService: the service is stopped");
-  if (!shard.queue.push(std::move(record))) {
-    return fail("SchedulerService: the service is stopped");
+  if (refusal.empty()) {
+    Shard& shard = *shards_[shard_of(event.link)];
+    if (!stopped_ && shard.queue.push(ServiceEvent{event, submitted, completion})) {
+      ++submitted_;
+      if (ingest_shard_ != nullptr) ingest_shard_->add(submitted_metric_);
+      return {};
+    }
+    refusal = "SchedulerService: the service is stopped";
   }
-  ++submitted_;
-  if (ingest_shard_ != nullptr) ingest_shard_->add(submitted_metric_);
-  return {};
+  if (ingest_shard_ != nullptr) ingest_shard_->add(refused_metric_);
+  return fail(refusal);
 }
 
 AdmitResult SchedulerService::call(const ChurnEvent& event) {
@@ -399,8 +381,6 @@ ServiceStats SchedulerService::stats() const {
     out.scheduler.removal_rebuilds += s.removal_rebuilds;
     out.scheduler.bound_hits += s.bound_hits;
     out.scheduler.exact_fallbacks += s.exact_fallbacks;
-    out.scheduler.retired_links += s.retired_links;
-    out.scheduler.reused_slots += s.reused_slots;
     out.scheduler.peak_colors = std::max(out.scheduler.peak_colors, s.peak_colors);
     out.scheduler.total_event_seconds += s.total_event_seconds;
     out.scheduler.max_event_seconds =
@@ -632,7 +612,7 @@ Expected<ServiceReplayResult> replay_trace(SchedulerService& service,
     return fail(
         "service replay: the trace grows the universe (link_arrival events), "
         "which sharded scheduling does not support — replay it through a "
-        "single OnlineScheduler on the appendable backend instead");
+        "single OnlineScheduler with a fresh_power rule instead");
   }
   const Stopwatch::TimePoint start = Stopwatch::now();
   std::size_t submitted = 0;

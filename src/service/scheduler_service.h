@@ -163,9 +163,9 @@ struct SchedulerServiceOptions {
   /// per publication — periodic, never on the admission path.
   std::size_t boundary_refresh_events = 1024;
   /// Per-shard scheduler knobs (storage backend, remove policy, mobility,
-  /// fresh_power, compaction). The appendable backend is rejected: a
-  /// sharded universe cannot grow yet (fresh links would need a
-  /// coordinated index across all shards' matrices). The telemetry field
+  /// fresh_power, compaction). A sharded universe cannot grow (fresh links
+  /// would need a coordinated index across all shards' matrices), so
+  /// route() refuses link_arrival events. The telemetry field
   /// is ignored — the service wires each shard's own sinks (below); a
   /// caller-provided single-writer shard shared by N shard threads would
   /// violate the metrics contract.
@@ -202,9 +202,9 @@ class SchedulerService {
   /// Mirrors the OnlineScheduler contract: the instance seeds the link
   /// universe, powers/params/variant are fixed for the service lifetime
   /// (sound under oblivious assignments). Builds one scheduler per shard —
-  /// on the dense/tiled backends they share the instance's cached gain
-  /// tables; under mobility each shard owns a private matrix and only ever
-  /// mutates rows of its own links. Spawns the shard threads.
+  /// dense shards without mobility or fresh_power share the instance's
+  /// cached gain tables; otherwise each shard owns a private matrix and
+  /// only ever mutates rows of its own links. Spawns the shard threads.
   SchedulerService(const Instance& instance, std::span<const double> powers,
                    const SinrParams& params, Variant variant,
                    SchedulerServiceOptions options = {});
@@ -224,8 +224,9 @@ class SchedulerService {
   /// Asynchronous ingest (the replay path): routes one trace event to its
   /// owner shard without waiting. Fails (structured, nothing enqueued) on
   /// an out-of-range link, a link_arrival event (sharded growth is
-  /// unsupported), or a stopped service. Results surface in stats();
-  /// rejected events count there too.
+  /// unsupported), or a stopped service — refusals count in the registry's
+  /// oisched_service_refused_total, not in stats(). Results of routed
+  /// events surface in stats(); rejected ones count there too.
   Expected<void> submit(const ChurnEvent& event);
   /// Same, stamping the event with a timestamp the caller already
   /// sampled — the paced replayer reads the clock once per event and
@@ -317,13 +318,12 @@ class SchedulerService {
   // boundary gauges are collector-filled at scrape time.
   obs::MetricsShard* ingest_shard_ = nullptr;
   obs::MetricId submitted_metric_ = 0;
+  obs::MetricId refused_metric_ = 0;
   obs::MetricId boundary_refreshes_metric_ = 0;
   obs::MetricId boundary_margin_metric_ = 0;
   obs::MetricId boundary_gain_metric_ = 0;
   obs::MetricId boundary_packable_metric_ = 0;
   obs::MetricId gain_resident_metric_ = 0;
-  obs::MetricId gain_touched_metric_ = 0;
-  obs::MetricId gain_total_metric_ = 0;
 
   mutable std::mutex state_mutex_;
   std::condition_variable drained_cv_;

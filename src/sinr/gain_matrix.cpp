@@ -30,11 +30,11 @@ constexpr double kDriftRatio = 1e6;
 /// at most a few extra fallbacks at the margin.
 constexpr double kTestSlack = 0x1p-40;
 
-/// Element generator for one table side: the exact formula of the
-/// historical eager build, evaluated per entry. Captures the shared
-/// request/power stores (not the matrix), so a lazily materialized tile or
-/// an appended row reads the same data — and a grown store is visible to
-/// later fills without rewiring anything.
+/// Element generator for one table side: the exact formula of the eager
+/// build, evaluated per entry. Captures the shared request/power stores
+/// (not the matrix), so a computed row or an appended one reads the same
+/// data — and a grown store is visible to later fills without rewiring
+/// anything.
 GainFiller make_gain_filler(const MetricSpace* metric,
                             std::shared_ptr<std::vector<Request>> requests,
                             std::shared_ptr<std::vector<double>> powers, double alpha,
@@ -52,51 +52,31 @@ GainFiller make_gain_filler(const MetricSpace* metric,
   };
 }
 
-/// Walks columns [begin, end) of gain-table row j as contiguous resident
-/// runs: body(base, row_v, row_u, len) with row_u == nullptr for
-/// single-table classes. One virtual row_run call per run (dense and
-/// appendable serve the whole range in one; tiled one per tile), instead
-/// of one at_v/at_u dispatch per element — the devirtualized feed of
-/// every accumulator row walk below. Both tables share a backend, so
-/// their runs align; the min() is belt and braces.
+/// Feeds columns [begin, end) of gain-table row j to
+/// body(base, row_v, row_u, len), the row pointers offset to `base`, with
+/// row_u == nullptr for single-table classes — the feed of every
+/// accumulator row walk below. An empty range calls nothing.
 template <typename Body>
-void walk_row_runs(const GainMatrix& gains, std::size_t j, bool bidirectional,
-                   std::size_t begin, std::size_t end, Body&& body) {
-  std::size_t i = begin;
-  while (i < end) {
-    const std::span<const double> run_v = gains.row_run_v(j, i);
-    std::size_t len = std::min(run_v.size(), end - i);
-    const double* row_u = nullptr;
-    if (bidirectional) {
-      const std::span<const double> run_u = gains.row_run_u(j, i);
-      len = std::min(len, run_u.size());
-      row_u = run_u.data();
-    }
-    body(i, run_v.data(), row_u, len);
-    i += len;
-  }
+void walk_row(const GainMatrix& gains, std::size_t j, bool bidirectional,
+              std::size_t begin, std::size_t end, Body&& body) {
+  if (begin == end) return;
+  const double* row_v = gains.row_v(j).data() + begin;
+  const double* row_u = bidirectional ? gains.row_u(j).data() + begin : nullptr;
+  body(begin, row_v, row_u, end - begin);
 }
 
-/// walk_row_runs over [0, n) minus the diagonal entry `skip` — a member
-/// never interferes with itself, and skipping by splitting the walk keeps
-/// the slot untouched instead of relying on += 0.0 (which would flip the
-/// sign of a -0.0 slot and is not a no-op on the exact expansions).
+/// walk_row over [0, n) minus the diagonal entry `skip` — a member never
+/// interferes with itself, and skipping by splitting the walk keeps the
+/// slot untouched instead of relying on += 0.0 (which would flip the sign
+/// of a -0.0 slot and is not a no-op on the exact expansions).
 template <typename Body>
-void walk_row_runs_skip(const GainMatrix& gains, std::size_t j, bool bidirectional,
-                        std::size_t skip, Body&& body) {
-  walk_row_runs(gains, j, bidirectional, 0, skip, body);
-  walk_row_runs(gains, j, bidirectional, skip + 1, gains.size(), body);
+void walk_row_skip(const GainMatrix& gains, std::size_t j, bool bidirectional,
+                   std::size_t skip, Body&& body) {
+  walk_row(gains, j, bidirectional, 0, skip, body);
+  walk_row(gains, j, bidirectional, skip + 1, gains.size(), body);
 }
 
 }  // namespace
-
-double GainRowCursor::refill(std::size_t i) {
-  const std::span<const double> run = storage_->row_run(j_, i);
-  run_ = run.data();
-  base_ = i;
-  len_ = run.size();
-  return run_[0];
-}
 
 const char* to_string(FeasibilityEngine engine) {
   switch (engine) {
@@ -179,20 +159,33 @@ GainMatrix::GainMatrix(const MetricSpace& metric, std::span<const Request> reque
         }
       }
     }
-    at_v_ = std::make_shared<DenseGainStorage>(n_, std::move(table_v));
-    if (build_at_u) at_u_ = std::make_shared<DenseGainStorage>(n_, std::move(table_u));
+    table_v_.emplace(n_, std::move(table_v));
+    if (build_at_u) table_u_.emplace(n_, std::move(table_u));
   } else {
-    at_v_ = make_gain_storage(backend_, n_,
-                              make_gain_filler(metric_, requests_store_, powers_store_,
-                                               alpha_, variant_, /*sender_side=*/false));
+    computed_v_.emplace(n_, make_gain_filler(metric_, requests_store_, powers_store_,
+                                             alpha_, variant_, /*sender_side=*/false));
     if (build_at_u) {
-      at_u_ = make_gain_storage(backend_, n_,
-                                make_gain_filler(metric_, requests_store_, powers_store_,
-                                                 alpha_, variant_, /*sender_side=*/true));
+      computed_u_.emplace(n_, make_gain_filler(metric_, requests_store_, powers_store_,
+                                               alpha_, variant_, /*sender_side=*/true));
     }
   }
-  dense_v_ = at_v_->dense_data();
-  dense_u_ = at_u_ == nullptr ? nullptr : at_u_->dense_data();
+  bind_tables();
+}
+
+void GainMatrix::bind_tables() {
+  std::size_t total = signal_.size();
+  if (table_v_) {
+    dense_v_ = table_v_->data();
+    stride_ = table_v_->stride();
+    total += table_v_->resident_doubles();
+  }
+  if (table_u_) {
+    dense_u_ = table_u_->data();
+    total += table_u_->resident_doubles();
+  }
+  if (computed_v_) total += computed_v_->resident_doubles();
+  if (computed_u_) total += computed_u_->resident_doubles();
+  resident_doubles_.store(total);
 }
 
 GainMatrix::GainMatrix(const Instance& instance, std::span<const double> powers,
@@ -202,8 +195,7 @@ GainMatrix::GainMatrix(const Instance& instance, std::span<const double> powers,
                  with_sender_gains, backend) {}
 
 std::size_t GainMatrix::append_request(const Request& request, double power) {
-  require(backend_ == GainBackend::appendable,
-          "GainMatrix: only the appendable backend can grow");
+  require(backend_ == GainBackend::dense, "GainMatrix: only dense tables grow");
   require(request.u < metric_->size() && request.v < metric_->size(),
           "GainMatrix: request endpoint out of metric range");
   const double l = link_loss(*metric_, request, alpha_);
@@ -216,8 +208,13 @@ std::size_t GainMatrix::append_request(const Request& request, double power) {
   powers_store_->push_back(power);
   n_ = requests_store_->size();
   signal_.push_back(power / l);
-  static_cast<AppendableGainStorage&>(*at_v_).grow_to(n_);
-  if (at_u_ != nullptr) static_cast<AppendableGainStorage&>(*at_u_).grow_to(n_);
+  table_v_->append(make_gain_filler(metric_, requests_store_, powers_store_, alpha_,
+                                    variant_, /*sender_side=*/false));
+  if (table_u_) {
+    table_u_->append(make_gain_filler(metric_, requests_store_, powers_store_, alpha_,
+                                      variant_, /*sender_side=*/true));
+  }
+  bind_tables();
   return n_ - 1;
 }
 
@@ -236,18 +233,17 @@ void GainMatrix::update_request(std::size_t link, const Request& request,
   (*requests_store_)[link] = request;
   (*powers_store_)[link] = power;
   signal_[link] = power / l;
-  at_v_->refresh_link(link, make_gain_filler(metric_, requests_store_, powers_store_,
-                                             alpha_, variant_, /*sender_side=*/false));
-  if (at_u_ != nullptr) {
-    at_u_->refresh_link(link, make_gain_filler(metric_, requests_store_, powers_store_,
-                                               alpha_, variant_, /*sender_side=*/true));
+  if (computed_v_) {
+    computed_v_->refresh_link(link);
+    if (computed_u_) computed_u_->refresh_link(link);
+    return;
   }
-}
-
-std::size_t GainMatrix::resident_doubles() const noexcept {
-  std::size_t total = signal_.size() + at_v_->resident_doubles();
-  if (at_u_ != nullptr) total += at_u_->resident_doubles();
-  return total;
+  table_v_->refresh_link(link, make_gain_filler(metric_, requests_store_, powers_store_,
+                                                alpha_, variant_, /*sender_side=*/false));
+  if (table_u_) {
+    table_u_->refresh_link(link, make_gain_filler(metric_, requests_store_, powers_store_,
+                                                  alpha_, variant_, /*sender_side=*/true));
+  }
 }
 
 FeasibilityReport check_feasible(const GainMatrix& gains,
@@ -461,18 +457,22 @@ bool IncrementalGainClass::can_add(std::size_t request_index) const {
     return true;
   }
 
-  // Existing members must tolerate the newcomer's extra interference. The
-  // cursors serve the candidate's row from cached resident runs — one
-  // virtual dispatch per run, not per member.
-  GainRowCursor row_v = gains_->row_cursor_v(request_index);
-  GainRowCursor row_u = gains_->row_cursor_u(request_index);
+  // Existing members must tolerate the newcomer's extra interference, read
+  // off the candidate's row — one virtual call per row, not per member (and
+  // none at all for an empty class).
+  const double* row_v = nullptr;
+  const double* row_u = nullptr;
+  if (!members_.empty()) {
+    row_v = gains_->row_v(request_index).data();
+    if (bidirectional) row_u = gains_->row_u(request_index).data();
+  }
   for (const std::size_t m : members_) {
-    const double extra_v = row_v.at(m);
+    const double extra_v = row_v[m];
     if (!(gains_->signal(m) > params_.beta * (acc_v_[m] + extra_v + params_.noise))) {
       return false;
     }
     if (bidirectional) {
-      const double extra_u = row_u.at(m);
+      const double extra_u = row_u[m];
       if (!(gains_->signal(m) > params_.beta * (acc_u_[m] + extra_u + params_.noise))) {
         return false;
       }
@@ -503,7 +503,7 @@ void IncrementalGainClass::add(std::size_t request_index) {
     // member multiset, so any later subtract restores today's state bit
     // for bit. The bank streams each resident run with a fused add-round
     // per slot.
-    walk_row_runs_skip(*gains_, request_index, bidirectional, request_index,
+    walk_row_skip(*gains_, request_index, bidirectional, request_index,
                        [&](std::size_t base, const double* row_v, const double* row_u,
                            std::size_t len) {
                          exact_v_.add_row(base, row_v, len, acc_v_.data());
@@ -514,7 +514,7 @@ void IncrementalGainClass::add(std::size_t request_index) {
     members_.push_back(request_index);
     return;
   }
-  walk_row_runs_skip(*gains_, request_index, bidirectional, request_index,
+  walk_row_skip(*gains_, request_index, bidirectional, request_index,
                      [&](std::size_t base, const double* row_v, const double* row_u,
                          std::size_t len) {
                        kernels::acc_add_row(acc_v_.data() + base, row_v, len);
@@ -566,7 +566,7 @@ void IncrementalGainClass::remove(std::size_t request_index) {
     // escape hatch below.
     const bool bidi = gains_->variant() == Variant::bidirectional;
     bool saturated = false;
-    walk_row_runs_skip(*gains_, request_index, bidi, request_index,
+    walk_row_skip(*gains_, request_index, bidi, request_index,
                        [&](std::size_t base, const double* row_v, const double* row_u,
                            std::size_t len) {
                          saturated |= exact_v_.sub_row(base, row_v, len, acc_v_.data());
@@ -601,7 +601,7 @@ void IncrementalGainClass::remove(std::size_t request_index) {
   // Compensated fast path: subtract the departed contributions and grow the
   // per-slot cancellation bound by their magnitude.
   const bool bidirectional = gains_->variant() == Variant::bidirectional;
-  walk_row_runs_skip(
+  walk_row_skip(
       *gains_, request_index, bidirectional, request_index,
       [&](std::size_t base, const double* row_v, const double* row_u, std::size_t len) {
         kernels::acc_sub_row_cancel(acc_v_.data() + base, cancelled_v_.data() + base,
@@ -659,7 +659,7 @@ void IncrementalGainClass::begin_link_update(std::size_t link) {
   }
 
   const bool bidirectional = gains_->variant() == Variant::bidirectional;
-  walk_row_runs_skip(
+  walk_row_skip(
       *gains_, link, bidirectional, link,
       [&](std::size_t base, const double* row_v, const double* row_u, std::size_t len) {
         if (policy_ == RemovePolicy::exact) {
@@ -702,7 +702,7 @@ void IncrementalGainClass::finish_link_update(std::size_t link) {
   } else if (member) {
     // Re-add the link's row, now reading the refreshed tables.
     bool saturated = false;
-    walk_row_runs_skip(
+    walk_row_skip(
         *gains_, link, bidirectional, link,
         [&](std::size_t base, const double* row_v, const double* row_u,
             std::size_t len) {
@@ -874,7 +874,7 @@ void IncrementalGainClass::sync_universe() {
     // grown universe produces. Members always predate the growth, so the
     // [old_n, n) walk never crosses a member's own diagonal.
     for (const std::size_t m : members_) {
-      walk_row_runs(*gains_, m, bidirectional, old_n, n,
+      walk_row(*gains_, m, bidirectional, old_n, n,
                     [&](std::size_t base, const double* row_v, const double* row_u,
                         std::size_t len) {
                       exact_v_.add_row(base, row_v, len, acc_v_.data());
@@ -889,7 +889,7 @@ void IncrementalGainClass::sync_universe() {
   // order — exactly the sums a from-scratch replay over the grown universe
   // produces, so exactness guarantees survive growth.
   for (const std::size_t m : members_) {
-    walk_row_runs(*gains_, m, bidirectional, old_n, n,
+    walk_row(*gains_, m, bidirectional, old_n, n,
                   [&](std::size_t base, const double* row_v, const double* row_u,
                       std::size_t len) {
                     kernels::acc_add_row(acc_v_.data() + base, row_v, len);
@@ -960,7 +960,7 @@ void IncrementalGainClass::replay_accumulators(std::vector<double>& acc_v,
     return;
   }
   for (const std::size_t m : members_) {
-    walk_row_runs_skip(*gains_, m, bidirectional, m,
+    walk_row_skip(*gains_, m, bidirectional, m,
                        [&](std::size_t base, const double* row_v, const double* row_u,
                            std::size_t len) {
                          kernels::acc_add_row(acc_v.data() + base, row_v, len);
@@ -994,7 +994,7 @@ void IncrementalGainClass::rebuild() {
     std::fill(acc_v_.begin(), acc_v_.end(), 0.0);
     std::fill(acc_u_.begin(), acc_u_.end(), 0.0);
     for (const std::size_t m : members_) {
-      walk_row_runs_skip(*gains_, m, bidirectional, m,
+      walk_row_skip(*gains_, m, bidirectional, m,
                          [&](std::size_t base, const double* row_v,
                              const double* row_u, std::size_t len) {
                            exact_v_.add_row(base, row_v, len, acc_v_.data());

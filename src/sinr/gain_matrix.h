@@ -19,8 +19,10 @@
 #ifndef OISCHED_SINR_GAIN_MATRIX_H
 #define OISCHED_SINR_GAIN_MATRIX_H
 
+#include <atomic>
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -36,36 +38,6 @@ namespace oisched {
 
 class FarFieldContext;
 class Instance;
-
-/// Devirtualized sequential reader of one gain-table row: serves lookups
-/// from a cached contiguous resident run (GainStorage::row_run), paying
-/// one virtual call per run instead of one per element. A dense-backed
-/// cursor caches the whole row up front, so every lookup is a raw load;
-/// tiled pays one refill per tile crossed. Lookups outside the cached run
-/// refill, so access order is free — the can_add member scan walks its
-/// scattered member indices through one cursor per row.
-class GainRowCursor {
- public:
-  [[nodiscard]] double at(std::size_t i) {
-    const std::size_t off = i - base_;
-    if (off < len_) return run_[off];
-    return refill(i);
-  }
-
- private:
-  friend class GainMatrix;
-  GainRowCursor(const GainStorage* storage, std::size_t j)
-      : storage_(storage), j_(j) {}
-  GainRowCursor(const double* dense_row, std::size_t n)
-      : run_(dense_row), len_(n) {}
-  double refill(std::size_t i);
-
-  const GainStorage* storage_ = nullptr;
-  std::size_t j_ = 0;
-  const double* run_ = nullptr;
-  std::size_t base_ = 0;
-  std::size_t len_ = 0;
-};
 
 /// Which machinery answers feasibility queries inside an algorithm. All
 /// three produce bit-for-bit identical results; they differ only in cost.
@@ -100,20 +72,19 @@ enum class FeasibilityEngine {
 /// signal(i) is p_i / l_i; construction requires all links to have
 /// positive loss, mirroring the precondition of every direct checker.
 ///
-/// The tables live behind a GainStorage policy (gain_storage.h). `dense`
-/// keeps the historical eager layout (and its raw-pointer fast path);
-/// `tiled` materializes B x B tiles lazily so huge universes with
-/// localized activity stay memory-bounded; `appendable` grows —
-/// append_request gives a fresh link its row and column in O(n), the
-/// foundation of the online scheduler's growing universe. Every backend
-/// computes each entry with the same formula from the same inputs, so
+/// The tables live in one of two storage forms (gain_storage.h). `dense`
+/// keeps the eager layout (and its raw-pointer fast path) and grows in
+/// place — append_request gives a fresh link its row and column in
+/// amortized O(n), the foundation of the online scheduler's growing
+/// universe; `computed` keeps no table and evaluates rows on demand. Both
+/// compute each entry with the same formula from the same inputs, so
 /// queries are bit-for-bit identical across backends.
 ///
 /// Lifetime: the matrix copies the requests and powers it was built from
 /// (requests()/powers() view the copies), but only references the metric —
-/// the caller keeps it alive, as Instance's gain cache does. Lazy and
-/// appendable backends consult the metric after construction; dense never
-/// does, but the contract is uniform.
+/// the caller keeps it alive, as Instance's gain cache does. Growth and the
+/// computed backend consult the metric after construction; a fixed dense
+/// table never does, but the contract is uniform.
 class GainMatrix {
  public:
   GainMatrix(const MetricSpace& metric, std::span<const Request> requests,
@@ -137,85 +108,84 @@ class GainMatrix {
   [[nodiscard]] double signal(std::size_t i) const { return signal_[i]; }
   /// Contribution of request j at request i's receiver v_i (j != i).
   [[nodiscard]] double at_v(std::size_t j, std::size_t i) const {
-    if (dense_v_ != nullptr) return dense_v_[j * n_ + i];
-    return at_v_->at(j, i);
+    if (dense_v_ != nullptr) return dense_v_[j * stride_ + i];
+    return computed_v_->at(j, i);
   }
   /// Contribution of request j at request i's sender u_i (j != i); 0 when
   /// the sender-side table was not built (directed default).
   [[nodiscard]] double at_u(std::size_t j, std::size_t i) const {
-    if (dense_u_ != nullptr) return dense_u_[j * n_ + i];
-    return at_u_ == nullptr ? 0.0 : at_u_->at(j, i);
+    if (dense_u_ != nullptr) return dense_u_[j * stride_ + i];
+    return computed_u_ ? computed_u_->at(j, i) : 0.0;
   }
 
-  /// Longest contiguous resident run of receiver-table row j starting at
-  /// column i (i < size()); never empty. One call serves the whole row
-  /// tail on dense/appendable and a tile width on tiled — what the
-  /// accumulator row walks iterate instead of per-element at_v.
-  [[nodiscard]] std::span<const double> row_run_v(std::size_t j, std::size_t i) const {
-    if (dense_v_ != nullptr) return {dense_v_ + j * n_ + i, n_ - i};
-    return at_v_->row_run(j, i);
+  /// Receiver-table row j in full (size() entries) — what the accumulator
+  /// row walks and member scans read instead of per-element at_v. A raw
+  /// pointer into the buffer on dense; the one-row cache on computed (valid
+  /// until the next row of the same table is read).
+  [[nodiscard]] std::span<const double> row_v(std::size_t j) const {
+    if (dense_v_ != nullptr) return {dense_v_ + j * stride_, n_};
+    return computed_v_->row(j);
   }
   /// Sender-side counterpart; requires the sender table (bidirectional or
   /// with_sender_gains builds).
-  [[nodiscard]] std::span<const double> row_run_u(std::size_t j, std::size_t i) const {
-    if (dense_u_ != nullptr) return {dense_u_ + j * n_ + i, n_ - i};
-    return at_u_->row_run(j, i);
-  }
-  /// Cached-run reader of row j for scattered lookups (the member scans).
-  [[nodiscard]] GainRowCursor row_cursor_v(std::size_t j) const {
-    if (dense_v_ != nullptr) return {dense_v_ + j * n_, n_};
-    return {at_v_.get(), j};
-  }
-  [[nodiscard]] GainRowCursor row_cursor_u(std::size_t j) const {
-    if (dense_u_ != nullptr) return {dense_u_ + j * n_, n_};
-    return {at_u_.get(), j};
+  [[nodiscard]] std::span<const double> row_u(std::size_t j) const {
+    if (dense_u_ != nullptr) return {dense_u_ + j * stride_, n_};
+    return computed_u_->row(j);
   }
 
-  /// Grows the universe by one link (appendable backend only): copies the
-  /// request, computes its signal and its table row/column in O(n), and
-  /// returns the new link's index. Spans handed out by requests()/powers()
-  /// before the append are invalidated. Not thread-safe.
+  /// Grows the universe by one link (dense backend only): copies the
+  /// request, computes its signal and its table row/column in amortized
+  /// O(n), and returns the new link's index. The first append reallocates
+  /// each table to stride 1.5n (2.25 n^2 doubles, ~3.25 n^2 during the
+  /// copy; see DenseGainStorage::append). Spans handed out by
+  /// requests()/powers()/row_v()/row_u() before the append are invalidated.
+  /// Only legal on a privately owned matrix; not thread-safe.
   std::size_t append_request(const Request& request, double power);
 
   /// Re-points link `link` at new endpoints (endpoint motion), possibly
   /// with a new power: updates the stores, recomputes the link's signal
   /// and refreshes its table row and column in place — O(n) element
-  /// evaluations on every backend (the tiled backend rewrites only
-  /// resident tiles; untouched tiles read the updated stores on first
-  /// touch). Each refreshed entry is computed by the same formula from the
-  /// same stores as an eager build over the moved universe, so queries
-  /// stay bit-for-bit identical to a freshly constructed matrix. Only
+  /// evaluations on either backend. Each refreshed entry is computed by
+  /// the same formula from the same stores as an eager build over the
+  /// moved universe, so queries stay bit-for-bit identical to a freshly
+  /// constructed matrix. Only
   /// legal on a privately owned matrix (Instance's shared gain cache must
   /// never mutate); not thread-safe.
   void update_request(std::size_t link, const Request& request, double power);
 
-  /// The receiver-side storage — tests and the memory model observe tile
-  /// residency through it.
-  [[nodiscard]] const GainStorage& receiver_storage() const noexcept { return *at_v_; }
-  /// The sender-side storage; nullptr when that table was not built.
-  [[nodiscard]] const GainStorage* sender_storage() const noexcept {
-    return at_u_.get();
+  /// Doubles resident across signal and both tables. Safe to sample from
+  /// another thread while the owner appends or reads rows.
+  [[nodiscard]] std::size_t resident_doubles() const noexcept {
+    return resident_doubles_.load();
   }
-  /// Doubles currently resident across signal and both tables.
-  [[nodiscard]] std::size_t resident_doubles() const noexcept;
 
  private:
+  /// Re-reads the dense fast-path pointers and stride, and republishes the
+  /// residency — after construction and after every growth.
+  void bind_tables();
+
   std::size_t n_;
   double alpha_;
   Variant variant_;
   GainBackend backend_;
   const MetricSpace* metric_;
-  /// Owned copies shared with the storage fillers, so lazily materialized
-  /// entries read the same data the eager build would have — including the
-  /// rows appended after construction.
+  /// Owned copies shared with the storage fillers, so computed entries and
+  /// appended rows read the same data the eager build would have.
   std::shared_ptr<std::vector<Request>> requests_store_;
   std::shared_ptr<std::vector<double>> powers_store_;
   std::vector<double> signal_;
-  std::shared_ptr<GainStorage> at_v_;
-  std::shared_ptr<GainStorage> at_u_;
-  /// Raw fast-path pointers into dense storage (nullptr otherwise).
+  /// The tables: the dense pair or the computed pair, by backend_; the
+  /// sender-side one only for bidirectional or with_sender_gains builds.
+  std::optional<DenseGainStorage> table_v_;
+  std::optional<DenseGainStorage> table_u_;
+  std::optional<ComputedGainStorage> computed_v_;
+  std::optional<ComputedGainStorage> computed_u_;
+  /// Raw fast-path pointers into dense storage (nullptr otherwise) and the
+  /// dense row stride (== n_ until the table grows).
   const double* dense_v_ = nullptr;
   const double* dense_u_ = nullptr;
+  std::size_t stride_ = 0;
+  std::atomic<std::size_t> resident_doubles_{0};
 };
 
 /// check_feasible over precomputed gains; identical to the direct overload.
@@ -336,9 +306,9 @@ class IncrementalGainClass {
   [[nodiscard]] bool members_feasible() const;
 
   [[nodiscard]] bool contains(std::size_t request_index) const;
-  /// Extends the accumulators after the gain matrix grew (appendable
-  /// backend): fresh slots receive the members' contributions in insertion
-  /// order, bit-identical to a from-scratch replay over the grown
+  /// Extends the accumulators after the gain matrix grew (append_request):
+  /// fresh slots receive the members' contributions in insertion order,
+  /// bit-identical to a from-scratch replay over the grown
   /// universe. Must be called before the next can_add/add/remove once the
   /// matrix has appended rows; a no-op when sizes already agree.
   void sync_universe();

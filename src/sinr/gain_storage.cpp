@@ -10,10 +10,6 @@ const char* to_string(GainBackend backend) {
   switch (backend) {
     case GainBackend::dense:
       return "dense";
-    case GainBackend::tiled:
-      return "tiled";
-    case GainBackend::appendable:
-      return "appendable";
     case GainBackend::computed:
       return "computed";
   }
@@ -23,10 +19,6 @@ const char* to_string(GainBackend backend) {
 bool parse_gain_backend(const std::string& word, GainBackend& backend) {
   if (word == "dense") {
     backend = GainBackend::dense;
-  } else if (word == "tiled") {
-    backend = GainBackend::tiled;
-  } else if (word == "appendable") {
-    backend = GainBackend::appendable;
   } else if (word == "computed") {
     backend = GainBackend::computed;
   } else {
@@ -35,18 +27,8 @@ bool parse_gain_backend(const std::string& word, GainBackend& backend) {
   return true;
 }
 
-DenseGainStorage::DenseGainStorage(std::size_t n, const GainFiller& fill)
-    : n_(n), data_(n * n, 0.0) {
-  for (std::size_t j = 0; j < n_; ++j) {
-    for (std::size_t i = 0; i < n_; ++i) {
-      if (i == j) continue;
-      data_[j * n_ + i] = fill(j, i);
-    }
-  }
-}
-
 DenseGainStorage::DenseGainStorage(std::size_t n, std::vector<double> data)
-    : n_(n), data_(std::move(data)) {
+    : n_(n), stride_(n), data_(std::move(data)) {
   require(data_.size() == n_ * n_, "DenseGainStorage: need an n x n table");
 }
 
@@ -54,183 +36,50 @@ void DenseGainStorage::refresh_link(std::size_t link, const GainFiller& fill) {
   require(link < n_, "DenseGainStorage: refresh of an out-of-range link");
   for (std::size_t i = 0; i < n_; ++i) {
     if (i == link) continue;
-    data_[link * n_ + i] = fill(link, i);
-    data_[i * n_ + link] = fill(i, link);
+    data_[link * stride_ + i] = fill(link, i);
+    data_[i * stride_ + link] = fill(i, link);
   }
 }
 
-TiledGainStorage::TiledGainStorage(std::size_t n, GainFiller fill)
-    : n_(n),
-      tiles_per_side_((n + kTileSize - 1) / kTileSize),
-      fill_(std::move(fill)),
-      tiles_(std::make_unique<Tile[]>(tiles_per_side_ * tiles_per_side_)) {
-  require(static_cast<bool>(fill_), "TiledGainStorage: filler must be callable");
-}
-
-const double* TiledGainStorage::tile_data(std::size_t jb, std::size_t ib) const {
-  Tile& tile = tiles_[jb * tiles_per_side_ + ib];
-  const double* data = tile.ready.load(std::memory_order_acquire);
-  if (data == nullptr) data = materialize(tile, jb, ib);
-  return data;
-}
-
-double TiledGainStorage::at(std::size_t j, std::size_t i) const {
-  const double* data = tile_data(j / kTileSize, i / kTileSize);
-  return data[(j % kTileSize) * kTileSize + (i % kTileSize)];
-}
-
-std::span<const double> TiledGainStorage::row_run(std::size_t j, std::size_t i) const {
-  // One tile's worth of row j: contiguous inside the tile's row-major
-  // buffer, clipped to the table edge (edge tiles pad with zeros past n_,
-  // but runs never expose the padding).
-  const std::size_t jb = j / kTileSize;
-  const std::size_t ib = i / kTileSize;
-  const double* data = tile_data(jb, ib);
-  const std::size_t di = i % kTileSize;
-  const std::size_t len = std::min(kTileSize - di, n_ - i);
-  return {data + (j % kTileSize) * kTileSize + di, len};
-}
-
-const double* TiledGainStorage::materialize(Tile& tile, std::size_t jb,
-                                            std::size_t ib) const {
-  std::call_once(tile.once, [&] {
-    const std::size_t j0 = jb * kTileSize;
-    const std::size_t i0 = ib * kTileSize;
-    auto data = std::make_unique<double[]>(kTileSize * kTileSize);
-    for (std::size_t dj = 0; dj < kTileSize; ++dj) {
-      const std::size_t j = j0 + dj;
-      for (std::size_t di = 0; di < kTileSize; ++di) {
-        const std::size_t i = i0 + di;
-        // Edge tiles pad with zeros beyond n; the diagonal is the filler's
-        // contract (it returns 0 there).
-        data[dj * kTileSize + di] = (j < n_ && i < n_ && i != j) ? fill_(j, i) : 0.0;
-      }
+void DenseGainStorage::append(const GainFiller& fill) {
+  const std::size_t n = n_ + 1;
+  if (n > stride_) {
+    // Grow the capacity by half: the O(n^2) copy is paid once per ~n/2
+    // appends, so each fresh link costs amortized O(n).
+    const std::size_t stride = std::max(n, stride_ + stride_ / 2);
+    std::vector<double> grown(stride * stride, 0.0);
+    for (std::size_t j = 0; j < n_; ++j) {
+      std::copy_n(data_.data() + j * stride_, n_, grown.data() + j * stride);
     }
-    tile.data = std::move(data);
-    touched_.fetch_add(1, std::memory_order_relaxed);
-    tile.ready.store(tile.data.get(), std::memory_order_release);
-  });
-  return tile.ready.load(std::memory_order_acquire);
-}
-
-void TiledGainStorage::refresh_link(std::size_t link, const GainFiller& fill) {
-  require(link < n_, "TiledGainStorage: refresh of an out-of-range link");
-  const std::size_t lb = link / kTileSize;
-  const std::size_t lo = link % kTileSize;
-  // Row `link` crosses tile-row lb; column `link` crosses tile-column lb.
-  // Only resident tiles are rewritten — a tile not yet materialized will
-  // evaluate the stored filler on first touch and see the new values then.
-  for (std::size_t tb = 0; tb < tiles_per_side_; ++tb) {
-    Tile& row_tile = tiles_[lb * tiles_per_side_ + tb];
-    if (row_tile.ready.load(std::memory_order_acquire) != nullptr) {
-      double* data = row_tile.data.get();
-      for (std::size_t di = 0; di < kTileSize; ++di) {
-        const std::size_t i = tb * kTileSize + di;
-        data[lo * kTileSize + di] = (i < n_ && i != link) ? fill(link, i) : 0.0;
-      }
-    }
-    Tile& col_tile = tiles_[tb * tiles_per_side_ + lb];
-    if (col_tile.ready.load(std::memory_order_acquire) != nullptr) {
-      double* data = col_tile.data.get();
-      for (std::size_t dj = 0; dj < kTileSize; ++dj) {
-        const std::size_t j = tb * kTileSize + dj;
-        data[dj * kTileSize + lo] = (j < n_ && j != link) ? fill(j, link) : 0.0;
-      }
-    }
+    data_ = std::move(grown);
+    stride_ = stride;
   }
-}
-
-AppendableGainStorage::AppendableGainStorage(std::size_t n, GainFiller fill)
-    : fill_(std::move(fill)), rows_(n) {
-  require(static_cast<bool>(fill_), "AppendableGainStorage: filler must be callable");
-  for (std::size_t j = 0; j < n; ++j) {
-    rows_[j].assign(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i == j) continue;
-      rows_[j][i] = fill_(j, i);
-    }
-  }
-}
-
-std::size_t AppendableGainStorage::resident_doubles() const noexcept {
-  std::size_t total = 0;
-  for (const std::vector<double>& row : rows_) total += row.size();
-  return total;
-}
-
-void AppendableGainStorage::refresh_link(std::size_t link, const GainFiller& fill) {
-  require(link < rows_.size(),
-          "AppendableGainStorage: refresh of an out-of-range link");
-  const std::size_t n = rows_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i == link) continue;
-    rows_[link][i] = fill(link, i);
-    rows_[i][link] = fill(i, link);
-  }
-}
-
-void AppendableGainStorage::grow_to(std::size_t new_n) {
-  const std::size_t old_n = rows_.size();
-  require(new_n >= old_n, "AppendableGainStorage: tables never shrink");
-  // New columns of the existing rows, then the fresh rows in full.
-  for (std::size_t j = 0; j < old_n; ++j) {
-    for (std::size_t i = old_n; i < new_n; ++i) {
-      rows_[j].push_back(fill_(j, i));
-    }
-  }
-  rows_.resize(new_n);
-  for (std::size_t j = old_n; j < new_n; ++j) {
-    rows_[j].assign(new_n, 0.0);
-    for (std::size_t i = 0; i < new_n; ++i) {
-      if (i == j) continue;
-      rows_[j][i] = fill_(j, i);
-    }
-  }
+  for (std::size_t j = 0; j < n_; ++j) data_[j * stride_ + n_] = fill(j, n_);
+  double* fresh = data_.data() + n_ * stride_;
+  for (std::size_t i = 0; i < n_; ++i) fresh[i] = fill(n_, i);
+  fresh[n_] = 0.0;
+  n_ = n;
 }
 
 ComputedGainStorage::ComputedGainStorage(std::size_t n, GainFiller fill)
-    : n_(n), fill_(std::move(fill)) {
+    : n_(n), fill_(std::move(fill)), cache_(n, 0.0) {
   require(static_cast<bool>(fill_), "ComputedGainStorage: filler must be callable");
 }
 
-std::span<const double> ComputedGainStorage::row_run(std::size_t j,
-                                                     std::size_t i) const {
-  // Serve from the cache when it already covers [i, n) of row j; otherwise
-  // materialize that tail in one filler pass. Runs are always full tails,
-  // so a walk that advances i within one row re-reads the same buffer.
-  if (cache_row_ != j || i < cache_start_) {
-    cache_.resize(n_);
-    for (std::size_t k = i; k < n_; ++k) {
+std::span<const double> ComputedGainStorage::row(std::size_t j) const {
+  if (cache_row_ != j) {
+    for (std::size_t k = 0; k < n_; ++k) {
       cache_[k] = (k == j) ? 0.0 : fill_(j, k);
     }
     cache_row_ = j;
-    cache_start_ = i;
     ++rows_materialized_;
   }
-  return {cache_.data() + i, n_ - i};
+  return {cache_.data(), n_};
 }
 
-void ComputedGainStorage::refresh_link(std::size_t link, const GainFiller& fill) {
+void ComputedGainStorage::refresh_link(std::size_t link) {
   require(link < n_, "ComputedGainStorage: refresh of an out-of-range link");
-  (void)fill;  // nothing resident to rewrite — the stored filler sees the
-               // updated request/power stores on the next materialization
   cache_row_ = kNoRow;
-  cache_start_ = 0;
-}
-
-std::unique_ptr<GainStorage> make_gain_storage(GainBackend backend, std::size_t n,
-                                               GainFiller fill) {
-  switch (backend) {
-    case GainBackend::dense:
-      return std::make_unique<DenseGainStorage>(n, fill);
-    case GainBackend::tiled:
-      return std::make_unique<TiledGainStorage>(n, std::move(fill));
-    case GainBackend::appendable:
-      return std::make_unique<AppendableGainStorage>(n, std::move(fill));
-    case GainBackend::computed:
-      return std::make_unique<ComputedGainStorage>(n, std::move(fill));
-  }
-  throw PreconditionError("make_gain_storage: unknown backend");
 }
 
 }  // namespace oisched

@@ -1,70 +1,48 @@
 // Storage policies for pairwise gain tables.
 //
-// A GainMatrix used to be a monolithic dense std::vector<double> — O(n^2)
-// doubles per variant table, materialized eagerly, frozen at construction.
-// That is the right trade for the n <= 10^3 instances the offline
-// algorithms sweep, but it walls off two regimes the paper's oblivious
-// power assignments make perfectly sound: very large universes where only
-// a small working set of links is ever active (a row of the table depends
-// only on the link it describes, so rows can be materialized on first
-// touch), and online growth (a new link's power depends only on its own
-// length, so its row/column can be appended without touching anything
-// already computed).
+// Under the paper's oblivious power assignments a row of the table depends
+// only on the link it describes, so a table needs just two forms:
 //
-// GainStorage is the seam: one n x n table of doubles behind a tiny
-// virtual interface, with three backends —
+//   DenseGainStorage     every row built up front into one row-major
+//                        buffer; exposes it so the hot path stays a raw
+//                        load. A scheduler-owned table
+//                        grows in place: a fresh link gets its row and
+//                        column in amortized O(n), since its power depends
+//                        only on its own length.
+//   ComputedGainStorage  no table at all: entries are evaluated on demand,
+//                        with a one-row cache so a row walk costs one
+//                        filler pass. O(n) resident — what lets n >= 10^5
+//                        universes replay (with the far field, sinr/farfield.h,
+//                        answering most tests without touching a row).
 //
-//   DenseGainStorage       today's layout, filled eagerly; exposes its
-//                          contiguous buffer so the hot path stays a raw
-//                          row-major load (no virtual call).
-//   TiledGainStorage       B x B tiles materialized lazily on first touch
-//                          (thread-safe, each tile filled exactly once);
-//                          resident memory is bounded by the touched
-//                          tiles, not n^2.
-//   AppendableGainStorage  per-row vectors with amortized growth; a fresh
-//                          link gets its row and column in O(n).
-//
-// Entries are computed per element by a GainFiller, so every backend holds
+// Entries are computed per element by a GainFiller, so both backends hold
 // bit-for-bit the values the dense build would — backends differ in cost
 // and residency, never in results.
 #ifndef OISCHED_SINR_GAIN_STORAGE_H
 #define OISCHED_SINR_GAIN_STORAGE_H
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
 
 namespace oisched {
 
-/// Which storage policy a gain table lives in. All backends answer queries
-/// bit-for-bit identically; they differ in memory residency and in whether
-/// the table can grow.
+/// Which storage policy a gain table lives in. Both backends answer queries
+/// bit-for-bit identically; they differ in memory residency.
 enum class GainBackend {
   /// Contiguous row-major array, filled eagerly. O(n^2) resident; the
-  /// fastest lookups and the default for moderate n.
+  /// fastest lookups, the default, and the only backend that can be shared
+  /// or grown.
   dense,
-  /// Lazy B x B tiles, each materialized (thread-safely, exactly once) on
-  /// first touch. Resident memory is proportional to the touched tiles, so
-  /// huge universes with localized activity fit where dense cannot.
-  tiled,
-  /// Per-row vectors with amortized growth: append_request extends the
-  /// table by one row and one column in O(n) without rebuilding.
-  appendable,
   /// No table at all: every entry is evaluated through the filler on
   /// demand, with a single-row cache so a row walk costs one filler pass.
-  /// O(n) resident; the only backend whose footprint lets n >= 10^5
-  /// universes replay at all. Not thread-safe; single-owner like
-  /// appendable.
+  /// O(n) resident. Not thread-safe (the row cache has one owner).
   computed,
 };
 
-/// Human-readable backend name ("dense" / "tiled" / "appendable" /
-/// "computed").
+/// Human-readable backend name ("dense" / "computed").
 [[nodiscard]] const char* to_string(GainBackend backend);
 
 /// Parses a backend name (as printed by to_string); returns false on an
@@ -72,194 +50,84 @@ enum class GainBackend {
 [[nodiscard]] bool parse_gain_backend(const std::string& word, GainBackend& backend);
 
 /// Computes one table entry. Must be pure (same (j, i) -> same double) and
-/// return 0.0 on the diagonal; lazy backends keep it alive and call it long
-/// after construction.
+/// return 0.0 on the diagonal; the computed backend keeps it alive and calls
+/// it long after construction.
 using GainFiller = std::function<double(std::size_t j, std::size_t i)>;
 
-/// One square table of pairwise gains behind a storage policy.
-class GainStorage {
+/// Eager contiguous table. A fixed universe keeps row stride == n and
+/// exactly n^2 doubles; append() grows the capacity geometrically, so a
+/// fresh link costs amortized O(n).
+///
+/// Both storage classes return row j in full from row() (size() entries;
+/// entry j is 0.0) — the one span every accumulator row walk reads.
+class DenseGainStorage {
  public:
-  virtual ~GainStorage() = default;
-
-  [[nodiscard]] virtual GainBackend kind() const noexcept = 0;
-  /// Current number of rows (== columns).
-  [[nodiscard]] virtual std::size_t size() const noexcept = 0;
-  /// Entry (j, i); lazy backends materialize on demand (thread-safe).
-  [[nodiscard]] virtual double at(std::size_t j, std::size_t i) const = 0;
-  /// Contiguous row-major buffer when the layout has one, else nullptr —
-  /// lets callers skip the virtual dispatch on the dense fast path.
-  [[nodiscard]] virtual const double* dense_data() const noexcept { return nullptr; }
-  /// The longest contiguous resident run of row `j` starting at column `i`
-  /// (i < size()); never empty. Lazy backends materialize the containing
-  /// block first, so one virtual call serves a whole row tail (dense /
-  /// appendable) or a tile width (tiled) — the devirtualized feed of the
-  /// accumulator row walks, and the SAME materialization path the residency
-  /// counters observe (at() routes through it too, so resident_doubles and
-  /// row runs cannot drift apart).
-  [[nodiscard]] virtual std::span<const double> row_run(std::size_t j,
-                                                        std::size_t i) const = 0;
-  /// Doubles currently resident — the observable of the memory model.
-  [[nodiscard]] virtual std::size_t resident_doubles() const noexcept = 0;
-  /// Lazily materialized blocks touched so far / in total — 0/0 for eager
-  /// layouts. The storage-agnostic residency observables the telemetry
-  /// collector (register_gain_metrics) and the bench report read, so they
-  /// need no backend downcasts.
-  [[nodiscard]] virtual std::size_t touched_blocks() const noexcept { return 0; }
-  [[nodiscard]] virtual std::size_t total_blocks() const noexcept { return 0; }
-  /// Recomputes row `link` and column `link` through `fill` — the
-  /// endpoint-motion path. The caller has already updated the request and
-  /// power stores the filler captures, so re-evaluating those entries
-  /// yields the moved link's new gains. Lazy backends rewrite only what is
-  /// resident; unmaterialized tiles pick the new values up on first touch
-  /// through their stored filler. NOT thread-safe against concurrent
-  /// reads; the online scheduler (the only mutating owner) is
-  /// single-threaded per instance.
-  virtual void refresh_link(std::size_t link, const GainFiller& fill) = 0;
-};
-
-/// Eager contiguous table (the historical layout).
-class DenseGainStorage final : public GainStorage {
- public:
-  DenseGainStorage(std::size_t n, const GainFiller& fill);
   /// Adopts an already-filled row-major table (n * n entries) — the fused
-  /// native build path, which skips the per-element filler dispatch.
+  /// native build, which skips the per-element filler dispatch.
   DenseGainStorage(std::size_t n, std::vector<double> data);
 
-  [[nodiscard]] GainBackend kind() const noexcept override { return GainBackend::dense; }
-  [[nodiscard]] std::size_t size() const noexcept override { return n_; }
-  [[nodiscard]] double at(std::size_t j, std::size_t i) const override {
-    return data_[j * n_ + i];
+  /// Current number of rows (== columns).
+  [[nodiscard]] std::size_t size() const noexcept { return n_; }
+  [[nodiscard]] double at(std::size_t j, std::size_t i) const {
+    return data_[j * stride_ + i];
   }
-  [[nodiscard]] const double* dense_data() const noexcept override { return data_.data(); }
-  [[nodiscard]] std::span<const double> row_run(std::size_t j,
-                                                std::size_t i) const override {
-    return {data_.data() + j * n_ + i, n_ - i};
+  /// Valid until the next growth.
+  [[nodiscard]] std::span<const double> row(std::size_t j) const {
+    return {data_.data() + j * stride_, n_};
   }
-  [[nodiscard]] std::size_t resident_doubles() const noexcept override {
-    return data_.size();
-  }
-  void refresh_link(std::size_t link, const GainFiller& fill) override;
+  /// Doubles resident in the buffer: stride()^2, so n^2 until the first
+  /// append.
+  [[nodiscard]] std::size_t resident_doubles() const noexcept { return data_.size(); }
+  /// Recomputes row `link` and column `link` through `fill` — the
+  /// endpoint-motion path. The caller has already updated the request and
+  /// power stores the filler captures. NOT thread-safe against concurrent
+  /// reads; the online scheduler (the only mutating owner) is
+  /// single-threaded per instance.
+  void refresh_link(std::size_t link, const GainFiller& fill);
+
+  /// Extends the table by one link: the fresh column of every existing row,
+  /// then the fresh row, through `fill` (which must already see the grown
+  /// request universe). Reallocates only when the capacity runs out, to
+  /// stride 1.5x — so the first append to an n-link table leaves 2.25 n^2
+  /// doubles resident, and the copy briefly holds both buffers (~3.25 n^2).
+  /// Invalidates data() and every row span when it reallocates.
+  void append(const GainFiller& fill);
+
+  /// Row-major buffer, row j at data() + j * stride().
+  [[nodiscard]] const double* data() const noexcept { return data_.data(); }
+  [[nodiscard]] std::size_t stride() const noexcept { return stride_; }
 
  private:
   std::size_t n_;
+  std::size_t stride_;
   std::vector<double> data_;
 };
 
-/// Lazy blocked table: kTileSize x kTileSize tiles materialized on first
-/// touch. at() is thread-safe; concurrent first touches of one tile fill it
-/// exactly once (per-tile once_flag) and everyone else waits only for that
-/// tile, never for the whole table.
-class TiledGainStorage final : public GainStorage {
- public:
-  /// Power of two so the hot-path index math is shifts and masks;
-  /// 64 x 64 doubles = 32 KiB per tile.
-  static constexpr std::size_t kTileSize = 64;
-
-  TiledGainStorage(std::size_t n, GainFiller fill);
-
-  [[nodiscard]] GainBackend kind() const noexcept override { return GainBackend::tiled; }
-  [[nodiscard]] std::size_t size() const noexcept override { return n_; }
-  [[nodiscard]] double at(std::size_t j, std::size_t i) const override;
-  [[nodiscard]] std::span<const double> row_run(std::size_t j,
-                                                std::size_t i) const override;
-  [[nodiscard]] std::size_t resident_doubles() const noexcept override {
-    return touched_tiles() * kTileSize * kTileSize;
-  }
-  [[nodiscard]] std::size_t touched_blocks() const noexcept override {
-    return touched_tiles();
-  }
-  [[nodiscard]] std::size_t total_blocks() const noexcept override {
-    return total_tiles();
-  }
-  void refresh_link(std::size_t link, const GainFiller& fill) override;
-
-  /// Tiles materialized so far — what the sparse-schedule smoke tests and
-  /// the memory model reason about.
-  [[nodiscard]] std::size_t touched_tiles() const noexcept {
-    return touched_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t total_tiles() const noexcept {
-    return tiles_per_side_ * tiles_per_side_;
-  }
-
- private:
-  struct Tile {
-    std::once_flag once;
-    std::atomic<const double*> ready{nullptr};
-    std::unique_ptr<double[]> data;
-  };
-
-  /// The one materialization gate: both at() and row_run() resolve a
-  /// (j, i) coordinate to its resident tile buffer through here, so lookup
-  /// paths and the touched-tile residency count can never disagree.
-  const double* tile_data(std::size_t jb, std::size_t ib) const;
-  const double* materialize(Tile& tile, std::size_t jb, std::size_t ib) const;
-
-  std::size_t n_;
-  std::size_t tiles_per_side_;
-  GainFiller fill_;
-  std::unique_ptr<Tile[]> tiles_;
-  mutable std::atomic<std::size_t> touched_{0};
-};
-
-/// Growable table: one vector per row, filled eagerly for the initial
-/// universe and extended by grow_to. Appending one link costs O(n) filler
-/// calls (its row plus its column) with amortized O(1) reallocation per
-/// entry. Growth is NOT thread-safe; the online scheduler (its only
-/// mutating owner) is single-threaded per instance.
-class AppendableGainStorage final : public GainStorage {
- public:
-  AppendableGainStorage(std::size_t n, GainFiller fill);
-
-  [[nodiscard]] GainBackend kind() const noexcept override {
-    return GainBackend::appendable;
-  }
-  [[nodiscard]] std::size_t size() const noexcept override { return rows_.size(); }
-  [[nodiscard]] double at(std::size_t j, std::size_t i) const override {
-    return rows_[j][i];
-  }
-  [[nodiscard]] std::span<const double> row_run(std::size_t j,
-                                                std::size_t i) const override {
-    return {rows_[j].data() + i, rows_[j].size() - i};
-  }
-  [[nodiscard]] std::size_t resident_doubles() const noexcept override;
-  void refresh_link(std::size_t link, const GainFiller& fill) override;
-
-  /// Extends the table to new_n rows/columns, filling the fresh row and
-  /// column entries through the stored filler (which must already see the
-  /// grown request universe).
-  void grow_to(std::size_t new_n);
-
- private:
-  GainFiller fill_;
-  std::vector<std::vector<double>> rows_;
-};
-
 /// Tableless storage: entries are recomputed through the filler on every
-/// query. A one-row cache makes row walks affordable — row_run(j, i)
-/// materializes the tail [i, n) of row j once and serves every subsequent
-/// run of the same row from the cache, so a feasibility scan over k classes
-/// costs one filler pass per candidate row, not k. The cache belongs to the
-/// storage (not the cursor), so it survives across GainRowCursor instances
-/// within one event. NOT thread-safe (mutable cache, no locks); the online
-/// scheduler is its only intended owner.
-class ComputedGainStorage final : public GainStorage {
+/// query. A one-row cache, allocated once at construction, makes row walks
+/// affordable — row(j) materializes row j once and serves every later read
+/// of the same row from the cache, so a feasibility scan over k classes
+/// costs one filler pass per candidate row, not k. NOT thread-safe (mutable
+/// cache, no locks); the online scheduler is its only intended owner.
+/// resident_doubles() reads nothing the cache writes, so it is safe to
+/// sample while the owner runs.
+class ComputedGainStorage {
  public:
   ComputedGainStorage(std::size_t n, GainFiller fill);
 
-  [[nodiscard]] GainBackend kind() const noexcept override {
-    return GainBackend::computed;
-  }
-  [[nodiscard]] std::size_t size() const noexcept override { return n_; }
-  [[nodiscard]] double at(std::size_t j, std::size_t i) const override {
+  [[nodiscard]] std::size_t size() const noexcept { return n_; }
+  [[nodiscard]] double at(std::size_t j, std::size_t i) const {
     return (i == j) ? 0.0 : fill_(j, i);
   }
-  [[nodiscard]] std::span<const double> row_run(std::size_t j,
-                                                std::size_t i) const override;
-  [[nodiscard]] std::size_t resident_doubles() const noexcept override {
-    return cache_row_ == kNoRow ? 0 : cache_.size();
-  }
-  void refresh_link(std::size_t link, const GainFiller& fill) override;
+  /// Row j in full, served from the cache — valid until the next row()
+  /// call.
+  [[nodiscard]] std::span<const double> row(std::size_t j) const;
+  /// The row cache's fixed size.
+  [[nodiscard]] std::size_t resident_doubles() const noexcept { return n_; }
+  /// Endpoint motion of `link`: nothing resident to rewrite (the stored
+  /// filler reads the updated request and power stores), so this only
+  /// drops the cached row.
+  void refresh_link(std::size_t link);
 
   /// Row materializations so far — how often the cache missed.
   [[nodiscard]] std::size_t rows_materialized() const noexcept {
@@ -273,14 +141,8 @@ class ComputedGainStorage final : public GainStorage {
   GainFiller fill_;
   mutable std::vector<double> cache_;
   mutable std::size_t cache_row_ = kNoRow;
-  mutable std::size_t cache_start_ = 0;
   mutable std::size_t rows_materialized_ = 0;
 };
-
-/// Factory over the backend enum.
-[[nodiscard]] std::unique_ptr<GainStorage> make_gain_storage(GainBackend backend,
-                                                             std::size_t n,
-                                                             GainFiller fill);
 
 }  // namespace oisched
 

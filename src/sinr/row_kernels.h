@@ -1,7 +1,7 @@
 // SoA row kernels for the accumulator hot path.
 //
 // Every admission, departure, and mobility event reduces to walking a
-// contiguous gain-table row run (GainStorage::row_run) against the
+// contiguous gain-table row (GainMatrix::row_v / row_u) against the
 // class's flat accumulator arrays. These kernels are that walk: plain
 // add/subtract for the rebuild-policy accumulators, subtract-plus-
 // cancellation for the compensated policy. They vectorize across *slots*

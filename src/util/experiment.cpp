@@ -146,8 +146,8 @@ void record_replay(const ChurnTrace& trace, const ReplayResult& replay,
 
 /// Universe-size cap for the rebuild-twin re-replay: above it the twin's
 /// O(|class| * n)-per-removal replays would cost more than the timed
-/// measurement itself (the n=16384 hotspot cell would roughly double the
-/// CI smoke run). Large-n policy identity is covered by the differential
+/// measurement itself (the n=16384 hotspot cell would take several times
+/// its own replay). Large-n policy identity is covered by the differential
 /// fuzz suites in tests/test_online.cpp instead.
 constexpr std::size_t kPolicyTwinMaxN = 4096;
 
@@ -269,7 +269,7 @@ void run_service_scenario(const ScenarioSpec& spec, const SinrParams& params,
 /// (on the cell's storage backend) and re-validate the final state
 /// bit-for-bit against the direct engine. A "growing" trace starts the
 /// scheduler on the first half of the instance and introduces the second
-/// half as fresh links over the appendable backend.
+/// half as fresh links, grown into the scheduler's own dense table.
 void run_dynamic_scenario(const ScenarioSpec& spec, const SinrParams& params,
                           const Instance& instance,
                           std::shared_ptr<const PowerAssignment> assignment,
@@ -278,8 +278,8 @@ void run_dynamic_scenario(const ScenarioSpec& spec, const SinrParams& params,
   require(parse_remove_policy(spec.remove_policy, policy),
           "experiment: unknown remove policy '" + spec.remove_policy + "'");
   if (spec.trace == "growing") {
-    require(backend == GainBackend::appendable,
-            "experiment: growing scenarios need the appendable backend");
+    require(backend == GainBackend::dense,
+            "experiment: growing scenarios need the dense backend");
     const std::size_t n0 = std::max<std::size_t>(1, instance.size() / 2);
     const std::span<const Request> all = instance.requests();
     const Instance base(instance.metric_ptr(),
@@ -290,7 +290,6 @@ void run_dynamic_scenario(const ScenarioSpec& spec, const SinrParams& params,
     obs::MetricsRegistry registry;
     OnlineSchedulerOptions options;
     options.remove_policy = policy;
-    options.storage = GainBackend::appendable;
     options.fresh_power = std::move(assignment);
     options.telemetry.ids = OnlineMetricIds::register_in(registry);
     options.telemetry.shard = &registry.create_shard();
@@ -345,14 +344,11 @@ void run_dynamic_scenario(const ScenarioSpec& spec, const SinrParams& params,
     options.mobility = true;
     options.fresh_power = assignment;
   } else if (backend != GainBackend::computed) {
-    // Cold build of the shared gain tables on the cell's backend (lazy ones
-    // only pay their signal pass here); the replay hits the cache. The
-    // computed backend has no tables to warm (and its single-owner row
-    // cache is banned from the shared cache anyway) — the scheduler builds
-    // its own, timed below.
+    // Cold build of the shared dense tables; the replay hits the cache.
+    // The computed backend has no shared tables to warm — the scheduler
+    // builds its own, timed below.
     Stopwatch watch;
-    (void)instance.gains(powers, params.alpha, spec.variant,
-                         /*with_sender_gains=*/false, backend);
+    (void)instance.gains(powers, params.alpha, spec.variant);
     result.gain_build_ms = watch.elapsed_ms();
   }
   Stopwatch build_watch;
@@ -377,12 +373,6 @@ void run_dynamic_scenario(const ScenarioSpec& spec, const SinrParams& params,
     record_farfield(replay, result);
     result.dynamic.farfield_identical = farfield_twin_agrees(
         instance, powers, params, spec.variant, options, trace, replay.final_schedule);
-  }
-  result.dynamic.touched_tiles = scheduler.gains().receiver_storage().touched_blocks();
-  result.dynamic.total_tiles = scheduler.gains().receiver_storage().total_blocks();
-  if (const GainStorage* sender = scheduler.gains().sender_storage()) {
-    result.dynamic.touched_tiles += sender->touched_blocks();
-    result.dynamic.total_tiles += sender->total_blocks();
   }
 }
 
@@ -424,10 +414,6 @@ JsonValue dynamic_json(const DynamicResult& dynamic, bool farfield) {
   // (service cells measure submit-to-completion, bare cells the handler).
   value["latency_p50_ms"] = dynamic.latency_p50_ms;
   value["latency_p99_ms"] = dynamic.latency_p99_ms;
-  if (dynamic.total_tiles > 0) {
-    value["touched_tiles"] = dynamic.touched_tiles;
-    value["total_tiles"] = dynamic.total_tiles;
-  }
   if (dynamic.shards > 0) {
     value["shards"] = dynamic.shards;
     value["arrival_rate"] = dynamic.arrival_rate;  // 0 = saturated
@@ -450,7 +436,6 @@ JsonValue dynamic_json(const DynamicResult& dynamic, bool farfield) {
 bool scenario_failed(const ScenarioResult& result) {
   if (!result.ok) return true;
   if (!result.valid) return true;
-  if (!result.backends_identical) return true;
   if (!result.scan_identical) return true;
   if (result.spec.is_dynamic()) {
     // The far-field layer promises bit-identity with the exact-only path;
@@ -476,8 +461,8 @@ bool scenario_failed(const ScenarioResult& result) {
 std::string ScenarioSpec::name() const {
   const std::string base = topology + "/n" + std::to_string(n);
   std::string tail = power + "/" + std::string(variant_name(variant));
-  // Historical (dense) names stay stable — so do their derived seeds and
-  // the CI gates keyed on them; other backends are a visible suffix.
+  // Dense names stay stable — so do their derived seeds and the CI gates
+  // keyed on them; the computed backend is a visible suffix.
   if (!storage.empty() && storage != "dense") tail += "/" + storage;
   // Same for the scheduler-default remove policy: only deviations show.
   if (is_dynamic() && !remove_policy.empty() && remove_policy != "exact") {
@@ -507,7 +492,7 @@ std::vector<ScenarioSpec> experiment_grid(const ExperimentOptions& options) {
   const std::vector<std::string> topologies = {"line", "grid", "random", "adversarial"};
   std::vector<ScenarioSpec> grid;
   const auto push = [&](ScenarioSpec spec) {
-    if (spec.storage.empty()) spec.storage = options.storage;
+    if (spec.storage.empty()) spec.storage = "dense";
     if (spec.remove_policy.empty()) spec.remove_policy = options.remove_policy;
     // The Theorem-1 adversarial family lives in the directed variant.
     spec.variant =
@@ -573,9 +558,8 @@ std::vector<ScenarioSpec> experiment_grid(const ExperimentOptions& options) {
     // The CI-smoke dynamic subset: the flagship churn scenario (under the
     // default exact policy AND the historical rebuild policy, same trace,
     // so CI can gate exact's throughput against rebuild's on the same
-    // runner), the adversarial chain stressor, the tiled large-n hotspot
-    // (a universe a dense table could not hold in ~2 GiB) and the
-    // growing-universe cell.
+    // runner), the adversarial chain stressor and the growing-universe cell
+    // (fresh links grown into a dense table in place).
     add("random", 256, "sqrt", "poisson");
     // Skipped when it would duplicate the default-policy cell above
     // (e.g. under --remove-policy rebuild).
@@ -583,8 +567,7 @@ std::vector<ScenarioSpec> experiment_grid(const ExperimentOptions& options) {
       add("random", 256, "sqrt", "poisson", "", "rebuild");
     }
     add("random", 64, "sqrt", "adversarial");
-    add("random", 16384, "sqrt", "hotspot", "tiled");
-    add("random", 128, "sqrt", "growing", "appendable");
+    add("random", 128, "sqrt", "growing");
     // The flagship mobility cell: endpoint motion over Poisson churn,
     // replayed through the in-place update path.
     add("random", 256, "sqrt", "waypoint");
@@ -634,16 +617,14 @@ std::vector<ScenarioSpec> experiment_grid(const ExperimentOptions& options) {
       add("random", n, "sqrt", trace);
     }
   }
-  // Storage-backend cells: the flagship churn scenario replayed off tiled
-  // tables, the large-n hotspot only the tiled backend can hold, the
-  // growing universe over the appendable backend, and the flagship
-  // mobility cell on both non-dense backends (in-place row/column refresh
-  // exercised on every storage layout).
-  add("random", 256, "sqrt", "poisson", "tiled");
-  add("random", 16384, "sqrt", "hotspot", "tiled");
-  add("random", 512, "sqrt", "growing", "appendable");
-  add("random", 256, "sqrt", "waypoint", "tiled");
-  add("random", 128, "sqrt", "waypoint", "appendable");
+  // The growing universe (fresh links grown into a dense table in place)
+  // and the flagship mobility cell on the tableless backend (in-place
+  // motion exercised on both storage layouts).
+  add("random", 512, "sqrt", "growing");
+  add("random", 256, "sqrt", "waypoint", "computed");
+  // The large, locally active universe: hotspot churn over n = 16384 links
+  // on the tableless backend (a dense pair would need ~4 GiB).
+  add("random", 16384, "sqrt", "hotspot", "computed");
   // The remove-policy axis on the flagship churn cell: the same instance
   // and trace under all three accumulator policies — the recorded
   // evidence that exact removal costs nothing against the rebuild
@@ -715,28 +696,26 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, const SinrParams& params) 
       return result;
     }
 
-    require(backend != GainBackend::appendable,
-            "experiment: appendable storage is a dynamic-family backend");
+    require(backend == GainBackend::dense,
+            "experiment: computed storage is a dynamic-family backend");
     const std::vector<double> powers = assignment->assign(instance, params.alpha);
     {
       // Cold build of the shared gain tables; the greedy gain-engine run
       // below then hits the per-instance cache.
       Stopwatch watch;
-      (void)instance.gains(powers, params.alpha, spec.variant,
-                           /*with_sender_gains=*/false, backend);
+      (void)instance.gains(powers, params.alpha, spec.variant);
       result.gain_build_ms = watch.elapsed_ms();
     }
 
-    const auto greedy_with = [&](FeasibilityEngine engine, GainBackend storage) {
+    const auto greedy_with = [&](FeasibilityEngine engine) {
       return timed([&] {
         return greedy_coloring(instance, powers, params, spec.variant,
-                               RequestOrder::longest_first, engine, storage);
+                               RequestOrder::longest_first, engine);
       });
     };
-    const auto [direct, ms_direct] = greedy_with(FeasibilityEngine::direct, backend);
-    const auto [incremental, ms_incremental] =
-        greedy_with(FeasibilityEngine::incremental, backend);
-    const auto [gain, ms_gain] = greedy_with(FeasibilityEngine::gain_matrix, backend);
+    const auto [direct, ms_direct] = greedy_with(FeasibilityEngine::direct);
+    const auto [incremental, ms_incremental] = greedy_with(FeasibilityEngine::incremental);
+    const auto [gain, ms_gain] = greedy_with(FeasibilityEngine::gain_matrix);
     result.greedy.colors = gain.num_colors;
     result.greedy.identical = same_schedule(direct, gain) && same_schedule(incremental, gain);
     result.greedy.ms_direct = ms_direct;
@@ -746,23 +725,13 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, const SinrParams& params) 
 
     result.valid = validate_schedule(instance, powers, gain, params, spec.variant).valid;
 
-    // Backend-equivalence gate: the gain engine re-run on the alternate
-    // storage backend must reproduce the schedule bit for bit.
-    const GainBackend alternate =
-        backend == GainBackend::tiled ? GainBackend::dense : GainBackend::tiled;
-    const auto [alternate_schedule, alternate_ms] =
-        greedy_with(FeasibilityEngine::gain_matrix, alternate);
-    (void)alternate_ms;
-    result.backends_identical = same_schedule(gain, alternate_schedule);
-
     if (spec.scan_threads > 0) {
       // The parallel-scan gate: first-fit with the candidate scan fanned
       // across workers commits to the same lowest-index class as the
       // sequential sweep, so the schedule must come back bit for bit.
       const auto [scan_schedule, scan_ms] = timed([&] {
         return greedy_coloring(instance, powers, params, spec.variant,
-                               RequestOrder::longest_first,
-                               FeasibilityEngine::gain_matrix, backend,
+                               RequestOrder::longest_first, FeasibilityEngine::gain_matrix,
                                RemovePolicy::rebuild, spec.scan_threads);
       });
       result.scan_ms = scan_ms;
@@ -774,14 +743,12 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, const SinrParams& params) 
       // different cache key (with_sender_gains) — warm it outside the timed
       // region so the direct-vs-gain sqrt comparison measures queries, not
       // a table build the greedy comparison no longer pays either.
-      (void)instance.gains(powers, params.alpha, spec.variant,
-                           /*with_sender_gains=*/true, backend);
+      (void)instance.gains(powers, params.alpha, spec.variant, /*with_sender_gains=*/true);
       const auto sqrt_with = [&](FeasibilityEngine engine) {
         Stopwatch watch;
         SqrtColoringOptions options;
         options.seed = spec.seed;
         options.engine = engine;
-        options.storage = backend;
         SqrtColoringResult run = sqrt_coloring(instance, params, spec.variant, options);
         return std::make_pair(std::move(run), watch.elapsed_ms());
       };
@@ -856,7 +823,7 @@ std::vector<ScenarioResult> run_experiment_grid(std::span<const ScenarioSpec> gr
 JsonValue experiment_report(std::span<const ScenarioResult> results,
                             const ExperimentOptions& options) {
   JsonValue root = JsonValue::object();
-  root["schema"] = "oisched-bench-schedule/9";
+  root["schema"] = "oisched-bench-schedule/10";
   root["generator"] = "bench/run_experiments";
   root["mode"] = options.quick ? "quick" : "full";
   root["threads"] = options.threads;
@@ -870,7 +837,6 @@ JsonValue experiment_report(std::span<const ScenarioResult> results,
 
   JsonValue entries = JsonValue::array();
   std::size_t failures = 0;
-  std::size_t backend_disagreements = 0;
   std::size_t policy_disagreements = 0;
   std::size_t oracle_disagreements = 0;
   std::size_t farfield_disagreements = 0;
@@ -881,14 +847,6 @@ JsonValue experiment_report(std::span<const ScenarioResult> results,
   std::vector<double> event_rates;
   for (const ScenarioResult& result : results) {
     if (scenario_failed(result)) ++failures;
-    // Backend disagreement = the storage backends produced different
-    // answers: a failed static cross-run, or a non-dense dynamic replay
-    // whose final state failed the bit-for-bit gate.
-    if (!result.backends_identical ||
-        (result.ok && result.spec.is_dynamic() && result.spec.storage != "dense" &&
-         !result.valid)) {
-      ++backend_disagreements;
-    }
     if (result.ok && result.spec.is_service() && !result.dynamic.oracle_identical) {
       ++oracle_disagreements;
     }
@@ -955,7 +913,6 @@ JsonValue experiment_report(std::span<const ScenarioResult> results,
         entry["sqrt"] = comparison_json(result.sqrt, /*with_incremental=*/false);
       }
       entry["valid"] = result.valid;
-      entry["backends_identical"] = result.backends_identical;
       if (result.spec.scan_threads > 0) {
         entry["scan_threads"] = result.spec.scan_threads;
         entry["scan_identical"] = result.scan_identical;
@@ -970,7 +927,6 @@ JsonValue experiment_report(std::span<const ScenarioResult> results,
   JsonValue summary = JsonValue::object();
   summary["scenarios"] = results.size();
   summary["failures"] = failures;
-  summary["backend_disagreements"] = backend_disagreements;
   summary["policy_disagreements"] = policy_disagreements;
   summary["oracle_disagreements"] = oracle_disagreements;
   summary["farfield_disagreements"] = farfield_disagreements;

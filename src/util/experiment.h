@@ -35,15 +35,14 @@ struct ScenarioSpec {
   /// selects the dynamic family, which replays a generated trace through
   /// the OnlineScheduler and reports throughput instead of one-shot
   /// coloring time. "growing" starts from half the instance and introduces
-  /// the other half as fresh links (appendable storage required). The
+  /// the other half as fresh links (dense storage required). The
   /// mobility kinds ("waypoint" | "commuter" | "flashmob") select the
   /// dynamic-mobility family: churn interleaved with endpoint motion,
   /// replayed through the in-place update path on a privately owned
   /// matrix.
   std::string trace;
-  /// Gain-table backend: "dense" | "tiled" | "appendable". tiled keeps
-  /// large sparsely-active universes memory-bounded; appendable is the
-  /// growing-universe (dynamic) backend.
+  /// Gain-table backend: "dense" | "computed". computed (dynamic family
+  /// only) replays universes too large for an n^2 table.
   std::string storage = "dense";
   /// Dynamic family only: the accumulator RemovePolicy the replay runs
   /// under ("exact" | "rebuild" | "compensated"). exact — the scheduler
@@ -80,8 +79,8 @@ struct ScenarioSpec {
 
   /// "random/n256/sqrt/bidirectional", or
   /// "dynamic/random/n256/poisson/sqrt/bidirectional" for the dynamic
-  /// family — stable scenario identifiers. Non-default storage backends
-  /// append a "/tiled" (etc.) segment; non-default remove policies a
+  /// family — stable scenario identifiers. The computed backend appends a
+  /// "/computed" segment; non-default remove policies a
   /// "/rebuild" (etc.) one. Service cells use the "dynamic-service/"
   /// prefix and always append "/s<shards>" (plus "/r<rate>" when paced),
   /// e.g. "dynamic-service/random/n256/poisson/sqrt/bidirectional/s4".
@@ -135,10 +134,6 @@ struct DynamicResult {
   /// replay-on-remove would dwarf the timed measurement; the differential
   /// fuzz suites cover large-n policy identity) and report true.
   bool policy_identical = true;
-  /// Tiled backend only: tiles materialized / total — the memory-bounding
-  /// evidence of the lazy backend.
-  std::size_t touched_tiles = 0;
-  std::size_t total_tiles = 0;
   /// Dynamic-service family only (spec.shards > 0). Latency is
   /// submit-to-completion (queue wait plus scheduling work), the quantity
   /// the saturation sweep traces against the arrival rate.
@@ -203,11 +198,6 @@ struct ScenarioResult {
   /// the direct checker. Dynamic family: the replayed final state
   /// re-validated bit-for-bit against the direct feasibility engine.
   bool valid = false;
-  /// Static family: greedy over the gain engine re-run on the alternate
-  /// storage backend (dense <-> tiled) produced the identical schedule —
-  /// the runner-level backend-equivalence gate (summary counts the
-  /// disagreements).
-  bool backends_identical = true;
   /// Static family with spec.scan_threads > 0: the parallel candidate
   /// scan reproduced the sequential schedule bit for bit (summary counts
   /// the disagreements; a failure fails the scenario).
@@ -237,9 +227,6 @@ struct ExperimentOptions {
   std::size_t threads = 0;  // 0 = hardware concurrency
   std::uint64_t base_seed = 1;
   SinrParams params;        // alpha/beta/noise shared by every scenario
-  /// Default storage backend for grid cells that do not pin one
-  /// ("dense" | "tiled"); the large-n and growing cells always pin theirs.
-  std::string storage = "dense";
   /// Default remove policy for dynamic cells that do not pin one
   /// ("exact" | "rebuild" | "compensated"); the policy-axis cells always
   /// pin theirs.
@@ -271,7 +258,7 @@ struct ExperimentOptions {
     std::size_t repeat = 1);
 
 /// Bundles results into the BENCH_schedule.json document
-/// (schema "oisched-bench-schedule/9"; layout documented in README.md).
+/// (schema "oisched-bench-schedule/10"; layout documented in README.md).
 [[nodiscard]] JsonValue experiment_report(std::span<const ScenarioResult> results,
                                           const ExperimentOptions& options);
 

@@ -1,20 +1,30 @@
 #include "util/options.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 namespace oisched {
-namespace {
 
-/// Strict full-word number parses — strtoull would happily accept "12abc".
 Expected<std::size_t> parse_size_word(const std::string& flag, const std::string& word) {
   if (word.empty()) return fail(flag + " needs a number");
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(word.c_str(), &end, 10);
-  if (end != word.c_str() + word.size() || word.front() == '-') {
+  // strtoull alone would accept "12abc", wrap "-1" and clamp an overflow
+  // to ULLONG_MAX; all three are rejected here.
+  if (word.front() < '0' || word.front() > '9') {
     return fail(flag + ": '" + word + "' is not a non-negative integer");
+  }
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(word.c_str(), &end, 10);
+  if (end != word.c_str() + word.size()) {
+    return fail(flag + ": '" + word + "' is not a non-negative integer");
+  }
+  if (errno == ERANGE || static_cast<std::size_t>(value) != value) {
+    return fail(flag + ": '" + word + "' is out of range");
   }
   return static_cast<std::size_t>(value);
 }
+
+namespace {
 
 Expected<double> parse_double_word(const std::string& flag, const std::string& word) {
   if (word.empty()) return fail(flag + " needs a number");
@@ -66,16 +76,11 @@ void OptionParser::add_double(const std::string& name, double& out) {
   });
 }
 
-void OptionParser::add_storage(GainBackend& out, bool allow_appendable) {
-  add_flag("--storage", [&out, allow_appendable](const std::string& word) -> Expected<void> {
+void OptionParser::add_storage(GainBackend& out) {
+  add_flag("--storage", [&out](const std::string& word) -> Expected<void> {
     GainBackend parsed = GainBackend::dense;
     if (!parse_gain_backend(word, parsed)) {
-      return fail("--storage: unknown backend '" + word +
-                  "' (expected dense|tiled|appendable|computed)");
-    }
-    if (parsed == GainBackend::appendable && !allow_appendable) {
-      return fail("--storage: appendable is chosen automatically when the trace "
-                  "grows the universe; pick dense, tiled or computed");
+      return fail("--storage: unknown backend '" + word + "' (expected dense|computed)");
     }
     out = parsed;
     return Expected<void>();

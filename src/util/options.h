@@ -25,6 +25,12 @@
 
 namespace oisched {
 
+/// Strict full-word parse of a non-negative integer: rejects an empty
+/// word, any sign or trailing junk, and values past SIZE_MAX (never
+/// clamped). `flag` names the word in the error message.
+[[nodiscard]] Expected<std::size_t> parse_size_word(const std::string& flag,
+                                                    const std::string& word);
+
 class OptionParser {
  public:
   /// A flag handler consumes the flag's single value word.
@@ -43,10 +49,8 @@ class OptionParser {
 
   /// The domain flags, registered identically by every subcommand that
   /// takes them (one definition — one behavior):
-  ///   --storage dense|tiled[|appendable]   (appendable only when allowed:
-  ///   an appendable table has a single owner and is normally chosen
-  ///   automatically by the replay path)
-  void add_storage(GainBackend& out, bool allow_appendable = false);
+  ///   --storage dense|computed
+  void add_storage(GainBackend& out);
   ///   --remove-policy rebuild|compensated|exact (+ optional given flag so
   ///   callers can tell an explicit choice from the default)
   void add_remove_policy(RemovePolicy& out, bool* given = nullptr);

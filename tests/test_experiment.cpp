@@ -110,15 +110,15 @@ TEST(ExperimentGrid, FullGridSweepsSizesAndPowers) {
   ExperimentOptions options;
   const auto grid = experiment_grid(options);
   // 24 static cells + the n512 flagship + 6 dynamic (3 trace kinds x 2
-  // sizes) + 6 dynamic-mobility (3 motion kinds x 2 sizes) + 5
-  // storage-backend cells (tiled poisson, tiled large-n hotspot,
-  // appendable growing, tiled waypoint, appendable waypoint) + 2
+  // sizes) + 6 dynamic-mobility (3 motion kinds x 2 sizes) + the n512
+  // growing cell + the computed-storage waypoint cell + the n16384
+  // computed hotspot cell + 2
   // remove-policy cells (flagship poisson under rebuild and compensated)
   // + 7 dynamic-service cells (saturated s1/s2/s4/s8, paced s4 at two
   // rates, waypoint s4) + the n512 parallel-scan cell + 4
   // dynamic-farfield cells (n4096 poisson/waypoint, n16384 and n131072
   // tableless).
-  EXPECT_EQ(grid.size(), 56u);
+  EXPECT_EQ(grid.size(), 54u);
   std::set<std::string> trace_kinds;
   std::set<std::string> storages;
   std::set<std::string> policies;
@@ -132,8 +132,7 @@ TEST(ExperimentGrid, FullGridSweepsSizesAndPowers) {
   EXPECT_EQ(trace_kinds,
             (std::set<std::string>{"poisson", "flash", "adversarial", "hotspot",
                                    "growing", "waypoint", "commuter", "flashmob"}));
-  EXPECT_EQ(storages,
-            (std::set<std::string>{"dense", "tiled", "appendable", "computed"}));
+  EXPECT_EQ(storages, (std::set<std::string>{"dense", "computed"}));
   EXPECT_EQ(policies, (std::set<std::string>{"exact", "rebuild", "compensated"}));
   // Seeds are distinct so scenarios are independent draws — except the
   // remove-policy axis (2 cells), the service cells (6 poisson + 1
@@ -161,7 +160,6 @@ TEST(ExperimentGrid, QuickGridIncludesDynamicFamily) {
   options.quick = true;
   const auto grid = experiment_grid(options);
   bool has_flagship_churn = false;
-  bool has_tiled_large_n = false;
   bool has_growing = false;
   bool has_mobility = false;
   bool has_farfield = false;
@@ -170,10 +168,7 @@ TEST(ExperimentGrid, QuickGridIncludesDynamicFamily) {
     if (spec.name() == "dynamic/random/n256/poisson/sqrt/bidirectional") {
       has_flagship_churn = true;
     }
-    if (spec.name() == "dynamic/random/n16384/hotspot/sqrt/bidirectional/tiled") {
-      has_tiled_large_n = true;
-    }
-    if (spec.name() == "dynamic/random/n128/growing/sqrt/bidirectional/appendable") {
+    if (spec.name() == "dynamic/random/n128/growing/sqrt/bidirectional") {
       has_growing = true;
     }
     if (spec.name() == "dynamic/random/n256/waypoint/sqrt/bidirectional") {
@@ -192,7 +187,6 @@ TEST(ExperimentGrid, QuickGridIncludesDynamicFamily) {
     }
   }
   EXPECT_TRUE(has_flagship_churn);
-  EXPECT_TRUE(has_tiled_large_n);
   EXPECT_TRUE(has_growing);
   EXPECT_TRUE(has_mobility);
   EXPECT_TRUE(has_farfield);
@@ -222,7 +216,6 @@ TEST(ExperimentRunner, GrowingScenarioGrowsTheUniverseAndValidates) {
   spec.variant = Variant::bidirectional;
   spec.seed = 21;
   spec.trace = "growing";
-  spec.storage = "appendable";
   SinrParams params;
   const ScenarioResult result = run_scenario(spec, params);
   ASSERT_TRUE(result.ok) << result.error;
@@ -230,28 +223,6 @@ TEST(ExperimentRunner, GrowingScenarioGrowsTheUniverseAndValidates) {
   EXPECT_GT(result.dynamic.fresh_links, 0u);
   // The scheduler started on half the instance and grew to all of it.
   EXPECT_EQ(result.dynamic.final_universe, result.built_n);
-  EXPECT_FALSE(scenario_failed(result));
-}
-
-TEST(ExperimentRunner, TiledHotspotTouchesOnlyAFractionOfTheTiles) {
-  ScenarioSpec spec;
-  spec.topology = "random";
-  spec.n = 2048;  // 32x32 tile grid per table; the hotspot window is 128
-  spec.power = "sqrt";
-  spec.variant = Variant::bidirectional;
-  spec.seed = 9;
-  spec.trace = "hotspot";
-  spec.storage = "tiled";
-  SinrParams params;
-  const ScenarioResult result = run_scenario(spec, params);
-  ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_TRUE(result.valid);
-  EXPECT_GT(result.dynamic.events_per_sec, 0.0);
-  ASSERT_GT(result.dynamic.total_tiles, 0u);
-  EXPECT_GT(result.dynamic.touched_tiles, 0u);
-  // The memory model of the lazy backend: churn confined to a window
-  // leaves most of the table unmaterialized.
-  EXPECT_LT(result.dynamic.touched_tiles, result.dynamic.total_tiles / 2);
   EXPECT_FALSE(scenario_failed(result));
 }
 
@@ -330,9 +301,8 @@ TEST(ExperimentReport, EmitsSchemaResultsAndSummary) {
   const auto results = run_experiment_grid(grid, params, 2);
   const JsonValue report = experiment_report(results, options);
   const std::string text = report.dump();
-  EXPECT_NE(text.find("\"schema\": \"oisched-bench-schedule/9\""), std::string::npos);
+  EXPECT_NE(text.find("\"schema\": \"oisched-bench-schedule/10\""), std::string::npos);
   EXPECT_NE(text.find("\"repeat\": 1"), std::string::npos);
-  EXPECT_NE(text.find("\"backend_disagreements\": 0"), std::string::npos);
   EXPECT_NE(text.find("\"policy_disagreements\": 0"), std::string::npos);
   EXPECT_NE(text.find("\"oracle_disagreements\": 0"), std::string::npos);
   EXPECT_NE(text.find("\"storage\": \"dense\""), std::string::npos);
@@ -421,7 +391,6 @@ TEST(ExperimentRunner, GrowingCellExactPolicyMatchesRebuildReference) {
   spec.variant = Variant::bidirectional;
   spec.seed = 21;
   spec.trace = "growing";
-  spec.storage = "appendable";
   SinrParams params;
   const ScenarioResult result = run_scenario(spec, params);
   ASSERT_TRUE(result.ok) << result.error;

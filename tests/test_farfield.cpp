@@ -292,10 +292,9 @@ TEST(OnlineSchedulerFarField, DifferentialFuzzAcrossTracesAndBackends) {
   const auto scenario = random_scenario(48, /*seed=*/321);
   const Instance instance = scenario.instance();
   for (const std::string kind : {"poisson", "flash", "adversarial"}) {
-    for (const GainBackend backend :
-         {GainBackend::dense, GainBackend::tiled, GainBackend::appendable,
-          GainBackend::computed}) {
-      Rng rng(1300 + static_cast<std::uint64_t>(backend));
+    for (const GainBackend backend : {GainBackend::dense, GainBackend::computed}) {
+      // One fixed trace seed per backend.
+      Rng rng(backend == GainBackend::dense ? 1300 : 1303);
       const ChurnTrace trace =
           make_churn_trace(kind, instance.size(), /*target_events=*/600, rng);
       const std::string context = kind + "/" + to_string(backend);
@@ -340,8 +339,8 @@ TEST(OnlineSchedulerFarField, DifferentialFuzzOnGrowingTraces) {
   const ChurnTrace trace =
       make_churn_trace("growing", n0, /*target_events=*/600, rng, all.subspan(n0));
   const ReplayResult result = run_scheduler_differential(
-      base, trace, GainBackend::appendable, std::make_shared<SqrtPower>(),
-      /*target_cells=*/32, "growing/appendable");
+      base, trace, GainBackend::dense, std::make_shared<SqrtPower>(),
+      /*target_cells=*/32, "growing/dense");
   EXPECT_GT(result.stats.fresh_links, 0u);
 }
 

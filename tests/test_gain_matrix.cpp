@@ -277,29 +277,6 @@ TEST(GainCache, SameKeyReturnsSameTable) {
   EXPECT_EQ(instance.cached_gain_tables(), 4u);
 }
 
-TEST(GainCache, BackendIsACacheKeyDimension) {
-  const auto scenario = random_scenario(12, /*seed=*/31);
-  const Instance instance = scenario.instance();
-  const auto powers = SqrtPower{}.assign(instance, 3.0);
-  const auto dense = instance.gains(powers, 3.0, Variant::bidirectional);
-  const auto tiled = instance.gains(powers, 3.0, Variant::bidirectional, false,
-                                    GainBackend::tiled);
-  EXPECT_NE(dense.get(), tiled.get());  // distinct keys, distinct builds
-  EXPECT_EQ(dense->backend(), GainBackend::dense);
-  EXPECT_EQ(tiled->backend(), GainBackend::tiled);
-  // Same key -> same table, and both answer identically.
-  EXPECT_EQ(instance
-                .gains(powers, 3.0, Variant::bidirectional, false, GainBackend::tiled)
-                .get(),
-            tiled.get());
-  for (std::size_t j = 0; j < instance.size(); ++j) {
-    for (std::size_t i = 0; i < instance.size(); ++i) {
-      if (i == j) continue;
-      EXPECT_EQ(tiled->at_v(j, i), dense->at_v(j, i));
-    }
-  }
-}
-
 TEST(GainCache, ConcurrentMixedKeysBuildOnceEach) {
   // Per-entry once-initialization: many threads racing on a mix of cold
   // keys must each get a fully built table, same-key callers sharing one
@@ -400,10 +377,10 @@ TEST(GreedyColoring, GainEnginePolicyAxisProducesIdenticalSchedules) {
     for (const Variant variant : both_variants()) {
       const Schedule rebuild = greedy_coloring(
           instance, powers, params, variant, RequestOrder::longest_first,
-          FeasibilityEngine::gain_matrix, GainBackend::dense, RemovePolicy::rebuild);
+          FeasibilityEngine::gain_matrix, RemovePolicy::rebuild);
       const Schedule exact = greedy_coloring(
           instance, powers, params, variant, RequestOrder::longest_first,
-          FeasibilityEngine::gain_matrix, GainBackend::dense, RemovePolicy::exact);
+          FeasibilityEngine::gain_matrix, RemovePolicy::exact);
       EXPECT_EQ(rebuild.color_of, exact.color_of);
       EXPECT_EQ(rebuild.num_colors, exact.num_colors);
     }
@@ -430,8 +407,8 @@ TEST(MaxFeasibleEngines, ExactSubsetStillDominatesGreedy) {
 
 TEST(GainMatrixUpdate, UpdateRequestMatchesAFreshBuildOnEveryBackend) {
   // Moving a link in place must leave the table bit-identical to one built
-  // from scratch over the moved geometry — on all three storage backends,
-  // both table sides included.
+  // from scratch over the moved geometry — on both storage backends, both
+  // table sides included.
   const auto scenario = random_scenario(24, /*seed=*/7);
   const Instance instance = scenario.instance();
   const auto powers = SqrtPower{}.assign(instance, 3.0);
@@ -457,14 +434,12 @@ TEST(GainMatrixUpdate, UpdateRequestMatchesAFreshBuildOnEveryBackend) {
     }
     const GainMatrix reference(metric, moved_requests, moved_powers, 3.0, variant,
                                /*with_sender_gains=*/true, GainBackend::dense);
-    for (const GainBackend backend :
-         {GainBackend::dense, GainBackend::tiled, GainBackend::appendable}) {
+    for (const GainBackend backend : {GainBackend::dense, GainBackend::computed}) {
       GainMatrix gains(instance, powers, 3.0, variant,
                        /*with_sender_gains=*/true, backend);
-      // Touch a few entries first so the tiled backend has resident tiles
-      // the refresh must rewrite (not just lazily refill).
-      (void)gains.at_v(0, instance.size() - 1);
-      (void)gains.at_u(instance.size() - 1, 0);
+      // Read a row first so the computed backend holds a cached row the
+      // refresh must invalidate.
+      (void)gains.row_v(moves.front().first);
       for (const auto& [link, request] : moves) {
         gains.update_request(link, request, moved_powers[link]);
       }

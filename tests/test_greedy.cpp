@@ -132,29 +132,26 @@ TEST(Greedy, ParallelScanIsBitIdenticalToSequentialOnEveryEngine) {
           FeasibilityEngine::gain_matrix}) {
       const Schedule sequential =
           greedy_coloring(inst, powers, params, variant, RequestOrder::longest_first,
-                          engine, GainBackend::dense, RemovePolicy::rebuild,
-                          /*scan_threads=*/1);
+                          engine, RemovePolicy::rebuild, /*scan_threads=*/1);
       const Schedule parallel =
           greedy_coloring(inst, powers, params, variant, RequestOrder::longest_first,
-                          engine, GainBackend::dense, RemovePolicy::rebuild,
-                          /*scan_threads=*/3);
+                          engine, RemovePolicy::rebuild, /*scan_threads=*/3);
       EXPECT_EQ(sequential.color_of, parallel.color_of)
           << "engine " << static_cast<int>(engine);
       EXPECT_EQ(sequential.num_colors, parallel.num_colors);
     }
   }
-  // The gain engine's lazy backend and exact accumulators go through the
-  // same scan: tile materialization is internally synchronized, so probing
+  // The gain engine's exact accumulators go through the same scan: probing
   // extra classes concurrently must not shift a single color.
-  const Schedule tiled_seq =
+  const Schedule exact_seq =
       greedy_coloring(inst, powers, params, Variant::bidirectional,
                       RequestOrder::longest_first, FeasibilityEngine::gain_matrix,
-                      GainBackend::tiled, RemovePolicy::exact, /*scan_threads=*/1);
-  const Schedule tiled_par =
+                      RemovePolicy::exact, /*scan_threads=*/1);
+  const Schedule exact_par =
       greedy_coloring(inst, powers, params, Variant::bidirectional,
                       RequestOrder::longest_first, FeasibilityEngine::gain_matrix,
-                      GainBackend::tiled, RemovePolicy::exact, /*scan_threads=*/3);
-  EXPECT_EQ(tiled_seq.color_of, tiled_par.color_of);
+                      RemovePolicy::exact, /*scan_threads=*/3);
+  EXPECT_EQ(exact_seq.color_of, exact_par.color_of);
 }
 
 TEST(Greedy, PowerVectorSizeIsChecked) {

@@ -17,6 +17,7 @@
 
 #include "core/instance.h"
 #include "metric/euclidean.h"
+#include "sinr/gain_storage.h"
 #include "sinr/model.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -109,6 +110,16 @@ struct Scenario {
     requests.push_back(Request{2 * i, 2 * i + 1});
   }
   return {std::make_shared<EuclideanMetric>(std::move(points)), std::move(requests)};
+}
+
+/// An n x n dense table filled through `fill` (which returns 0.0 on the
+/// diagonal) — the fixed-universe layout, row stride n.
+[[nodiscard]] inline DenseGainStorage dense_table(std::size_t n, const GainFiller& fill) {
+  std::vector<double> data(n * n, 0.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = 0; i < n; ++i) data[j * n + i] = fill(j, i);
+  }
+  return DenseGainStorage(n, std::move(data));
 }
 
 }  // namespace oisched::testutil

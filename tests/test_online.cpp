@@ -368,7 +368,6 @@ TEST(OnlineScheduler, FreshLinksGrowTheUniverseAndRevalidate) {
       const ChurnTrace trace =
           make_churn_trace("growing", n0, /*target_events=*/500, rng, all.subspan(n0));
       OnlineSchedulerOptions options;
-      options.storage = GainBackend::appendable;
       options.fresh_power = std::make_shared<SqrtPower>();
       OnlineScheduler scheduler(base, powers, params, variant, options);
       const ReplayResult result = replay_trace(scheduler, trace);
@@ -403,7 +402,6 @@ TEST(OnlineScheduler, FreshLinksStillArriveAndDepartLikeAnyLink) {
                       std::vector<Request>(all.begin(), all.begin() + n0));
   const auto powers = SqrtPower{}.assign(base, params.alpha);
   OnlineSchedulerOptions options;
-  options.storage = GainBackend::appendable;
   options.fresh_power = std::make_shared<SqrtPower>();
   OnlineScheduler scheduler(base, powers, params, Variant::bidirectional, options);
   EXPECT_EQ(scheduler.universe(), n0);
@@ -419,7 +417,7 @@ TEST(OnlineScheduler, FreshLinksStillArriveAndDepartLikeAnyLink) {
   EXPECT_TRUE(scheduler.validate_against_direct());
 }
 
-TEST(OnlineScheduler, FreshLinksNeedAppendableBackendAndPowerRule) {
+TEST(OnlineScheduler, FreshLinksNeedAPowerRuleAndDenseStorage) {
   const auto scenario = random_scenario(8, /*seed=*/5);
   const Instance instance = scenario.instance();
   SinrParams params;
@@ -431,9 +429,17 @@ TEST(OnlineScheduler, FreshLinksNeedAppendableBackendAndPowerRule) {
   }
   {
     OnlineSchedulerOptions options;
-    options.storage = GainBackend::appendable;  // but no fresh_power rule
+    options.mobility = true;  // an owned matrix, but no fresh_power rule
     OnlineScheduler scheduler(instance, powers, params, Variant::bidirectional, options);
     EXPECT_THROW((void)scheduler.on_link_arrival(fresh), PreconditionError);
+  }
+  {
+    OnlineSchedulerOptions options;
+    options.storage = GainBackend::computed;  // a power rule, but no table to grow
+    options.fresh_power = std::make_shared<SqrtPower>();
+    OnlineScheduler scheduler(instance, powers, params, Variant::bidirectional, options);
+    EXPECT_THROW((void)scheduler.on_link_arrival(fresh), PreconditionError);
+    EXPECT_EQ(scheduler.universe(), instance.size());
   }
 }
 
@@ -667,8 +673,7 @@ TEST(OnlineScheduler, ExactPolicyDifferentialFuzzAcrossTracesAndBackends) {
   const auto scenario = random_scenario(48, /*seed=*/123);
   const Instance instance = scenario.instance();
   for (const std::string kind : {"poisson", "flash", "adversarial", "hotspot"}) {
-    for (const GainBackend backend :
-         {GainBackend::dense, GainBackend::tiled, GainBackend::appendable}) {
+    for (const GainBackend backend : {GainBackend::dense, GainBackend::computed}) {
       Rng rng(911 + static_cast<std::uint64_t>(backend));
       const ChurnTrace trace =
           make_churn_trace(kind, instance.size(), /*target_events=*/800, rng);
@@ -680,8 +685,8 @@ TEST(OnlineScheduler, ExactPolicyDifferentialFuzzAcrossTracesAndBackends) {
 
 TEST(OnlineScheduler, ExactPolicyDifferentialFuzzOnGrowingTraces) {
   // Universe growth (sync_universe extension of the exact expansions) on
-  // the appendable backend: same differential gates as the fixed-universe
-  // fuzz, ending on a grown universe.
+  // a dense table grown in place: same differential gates as the
+  // fixed-universe fuzz, ending on a grown universe.
   const auto scenario = random_scenario(40, /*seed=*/77);
   const Instance full = scenario.instance();
   const std::size_t n0 = full.size() / 2;
@@ -691,8 +696,8 @@ TEST(OnlineScheduler, ExactPolicyDifferentialFuzzOnGrowingTraces) {
   Rng rng(2026);
   const ChurnTrace trace =
       make_churn_trace("growing", n0, /*target_events=*/800, rng, all.subspan(n0));
-  run_policy_differential(base, trace, GainBackend::appendable,
-                          std::make_shared<SqrtPower>(), "growing/appendable");
+  run_policy_differential(base, trace, GainBackend::dense,
+                          std::make_shared<SqrtPower>(), "growing/dense");
 }
 
 TEST(OnlineScheduler, LegacyTraceSchemaReplaysUnderTheExactDefault) {
@@ -738,10 +743,10 @@ ChurnTrace mobility_trace(const Instance& instance, const std::string& kind,
 
 TEST(OnlineScheduler, MobilityDifferentialFuzzAcrossKindsAndBackends) {
   // The flagship differential gate of the update path: every mobility kind
-  // replayed on all three storage backends, each run checked against a
+  // replayed on both storage backends, each run checked against a
   // rebuild-policy twin (bit-identical schedule), every live class against
   // a freshly built exact twin (bit-identical accumulators), zero
-  // removal-triggered rebuilds under the exact default — and the three
+  // removal-triggered rebuilds under the exact default — and the two
   // backends agreeing with each other on the final schedule.
   const auto scenario = random_scenario(40, /*seed=*/321);
   const Instance instance = scenario.instance();
@@ -750,8 +755,7 @@ TEST(OnlineScheduler, MobilityDifferentialFuzzAcrossKindsAndBackends) {
     const ChurnTrace trace = mobility_trace(instance, kind, seed++);
     ASSERT_TRUE(trace.has_link_updates()) << kind;
     std::vector<ReplayResult> per_backend;
-    for (const GainBackend backend :
-         {GainBackend::dense, GainBackend::tiled, GainBackend::appendable}) {
+    for (const GainBackend backend : {GainBackend::dense, GainBackend::computed}) {
       const std::string context = kind + "/" + to_string(backend);
       per_backend.push_back(run_policy_differential(
           instance, trace, backend, std::make_shared<SqrtPower>(), context.c_str()));
@@ -1042,14 +1046,15 @@ TEST(OnlineScheduler, LegacySchemasOneAndTwoReplayIdentically) {
   EXPECT_EQ(results[0].final_worst_margin, results[1].final_worst_margin);
 }
 
-// ---------------------------------------------------------------------------
-// Slot reuse: retired links hand their gain-table rows to future fresh
-// links, so the appendable universe stops growing without bound.
-
-TEST(OnlineScheduler, RetiredSlotsAreReusedWithoutChangingDecisions) {
-  const auto scenario = random_scenario(16, /*seed=*/41);
+TEST(OnlineScheduler, GrowingReplayEndsOnAFreshDenseBuild) {
+  // A growing trace grows the scheduler's dense table in place, link by
+  // link. At the end the table must equal a dense build over the final
+  // universe bit for bit under every remove policy; under exact (with and
+  // without the far field) and rebuild every class's accumulators must
+  // also equal a class built from scratch over that fresh table.
+  const auto scenario = random_scenario(40, /*seed=*/77);
   const Instance full = scenario.instance();
-  const std::size_t n0 = 8;
+  const std::size_t n0 = full.size() / 2;
   const auto all = full.requests();
   const Instance base(full.metric_ptr(),
                       std::vector<Request>(all.begin(), all.begin() + n0));
@@ -1057,200 +1062,46 @@ TEST(OnlineScheduler, RetiredSlotsAreReusedWithoutChangingDecisions) {
   params.alpha = 3.0;
   params.beta = 1.0;
   const auto powers = SqrtPower{}.assign(base, params.alpha);
-  OnlineSchedulerOptions options;
-  options.storage = GainBackend::appendable;
-  options.fresh_power = std::make_shared<SqrtPower>();
-  options.reuse_slots = true;
-  OnlineSchedulerOptions no_reuse = options;
-  no_reuse.reuse_slots = false;
-  OnlineScheduler reuse(base, powers, params, Variant::bidirectional, options);
-  OnlineScheduler twin(base, powers, params, Variant::bidirectional, no_reuse);
-  const auto both_arrive = [&](const Request& r) {
-    (void)reuse.on_link_arrival(r);
-    (void)twin.on_link_arrival(r);
-  };
-  const auto both_depart = [&](std::size_t link) {
-    reuse.on_departure(link);
-    twin.on_departure(link);
-  };
-  for (std::size_t i = 0; i < 4; ++i) (void)reuse.on_arrival(i), (void)twin.on_arrival(i);
-  // Eight fresh links grow both universes...
-  for (std::size_t i = n0; i < full.size(); ++i) both_arrive(all[i]);
-  EXPECT_EQ(reuse.physical_slots(), full.size());
-  // ...then four of them leave forever. Only the reuse scheduler may
-  // reclaim their rows.
-  for (std::size_t link = n0; link < n0 + 4; ++link) {
-    both_depart(link);
-    reuse.retire_link(link);
-  }
-  EXPECT_EQ(reuse.stats().retired_links, 4u);
-  // Four more fresh links: the reuse side rewrites the retired rows in
-  // place while the twin keeps growing.
-  for (std::size_t i = n0; i < n0 + 4; ++i) both_arrive(all[i]);
-  EXPECT_EQ(reuse.stats().reused_slots, 4u);
-  EXPECT_EQ(reuse.physical_slots(), full.size());
-  EXPECT_EQ(twin.physical_slots(), full.size() + 4);
-  EXPECT_LT(reuse.gains().resident_doubles(), twin.gains().resident_doubles());
-  // External ids, colorings and universes are untouched by the remap: the
-  // snapshot equals the never-reusing twin's bit for bit.
-  EXPECT_EQ(reuse.universe(), twin.universe());
-  EXPECT_EQ(reuse.snapshot().color_of, twin.snapshot().color_of);
-  EXPECT_EQ(reuse.num_colors(), twin.num_colors());
-  EXPECT_TRUE(reuse.validate_against_direct());
-  EXPECT_TRUE(twin.validate_against_direct());
-  // Retired ids stay retired: they can never become active again.
-  EXPECT_EQ(reuse.color_of(n0), -1);
-  EXPECT_THROW((void)reuse.on_arrival(n0), PreconditionError);
-}
-
-TEST(OnlineScheduler, SlotReuseUnderFarFieldStaysBitIdentical) {
-  // The reuse bracket must also keep the far-field context in lockstep:
-  // a recycled slot's cell assignment moves with the rewritten row.
-  const auto scenario = random_scenario(24, /*seed=*/51);
-  const Instance full = scenario.instance();
-  const std::size_t n0 = 12;
-  const auto all = full.requests();
-  const Instance base(full.metric_ptr(),
-                      std::vector<Request>(all.begin(), all.begin() + n0));
-  SinrParams params;
-  params.alpha = 3.0;
-  params.beta = 1.0;
-  const auto powers = SqrtPower{}.assign(base, params.alpha);
-  OnlineSchedulerOptions options;
-  options.storage = GainBackend::appendable;
-  options.fresh_power = std::make_shared<SqrtPower>();
-  options.reuse_slots = true;
-  options.farfield = true;
-  options.farfield_options.target_cells = 16;
-  OnlineSchedulerOptions exact_only = options;
-  exact_only.farfield = false;
-  OnlineScheduler far(base, powers, params, Variant::bidirectional, options);
-  OnlineScheduler exact(base, powers, params, Variant::bidirectional, exact_only);
-  const auto step_both = [&](auto&& op) {
-    op(far);
-    op(exact);
-  };
-  for (std::size_t i = 0; i < n0; ++i) {
-    step_both([&](OnlineScheduler& s) { (void)s.on_arrival(i); });
-  }
-  for (std::size_t round = 0; round < 3; ++round) {
-    for (std::size_t i = n0; i < full.size(); ++i) {
-      step_both([&](OnlineScheduler& s) { (void)s.on_link_arrival(all[i]); });
-    }
-    const std::size_t grown = far.universe();
-    for (std::size_t link = grown - (full.size() - n0); link < grown; ++link) {
-      step_both([&](OnlineScheduler& s) {
-        s.on_departure(link);
-        s.retire_link(link);
-      });
+  const auto full_powers = SqrtPower{}.assign(full, params.alpha);
+  Rng rng(2028);
+  const ChurnTrace trace =
+      make_churn_trace("growing", n0, /*target_events=*/600, rng, all.subspan(n0));
+  for (const RemovePolicy policy :
+       {RemovePolicy::exact, RemovePolicy::rebuild, RemovePolicy::compensated}) {
+    for (const bool farfield : {false, true}) {
+      if (farfield && policy != RemovePolicy::exact) continue;
+      const std::string context =
+          std::string(to_string(policy)) + (farfield ? "/farfield" : "");
+      OnlineSchedulerOptions options;
+      options.remove_policy = policy;
+      options.fresh_power = std::make_shared<SqrtPower>();
+      options.farfield = farfield;
+      options.farfield_options.target_cells = 32;
+      OnlineScheduler scheduler(base, powers, params, Variant::bidirectional, options);
+      const ReplayResult result = replay_trace(scheduler, trace);
+      EXPECT_TRUE(result.validated) << context;
+      ASSERT_EQ(scheduler.universe(), full.size()) << context;
+      const GainMatrix fresh(full, full_powers, params.alpha, Variant::bidirectional);
+      const GainMatrix& grown = scheduler.gains();
+      for (std::size_t j = 0; j < full.size(); ++j) {
+        ASSERT_EQ(grown.signal(j), fresh.signal(j)) << context << " " << j;
+        for (std::size_t i = 0; i < full.size(); ++i) {
+          ASSERT_EQ(grown.at_v(j, i), fresh.at_v(j, i)) << context << " " << j << "," << i;
+          ASSERT_EQ(grown.at_u(j, i), fresh.at_u(j, i)) << context << " " << j << "," << i;
+        }
+      }
+      if (policy == RemovePolicy::compensated) continue;  // drift-bounded only
+      const FarFieldContext fresh_ctx(
+          scenario.metric, std::vector<Request>(all.begin(), all.end()), full_powers,
+          params.alpha, Variant::bidirectional, options.farfield_options);
+      for (const IncrementalGainClass& cls : scheduler.classes()) {
+        IncrementalGainClass twin(fresh, params, policy, options.rebuild_interval,
+                                  farfield ? &fresh_ctx : nullptr);
+        for (const std::size_t m : cls.members()) twin.add(m);
+        expect_accumulators_identical(fresh, cls, twin, context.c_str());
+      }
     }
   }
-  // Slot recycling kept the matrix at its peak size across three churn
-  // rounds while the universe kept growing.
-  EXPECT_EQ(far.physical_slots(), full.size());
-  EXPECT_GT(far.universe(), full.size());
-  EXPECT_EQ(far.stats().reused_slots, 2 * (full.size() - n0));
-  EXPECT_EQ(far.snapshot().color_of, exact.snapshot().color_of);
-  EXPECT_GT(far.stats().bound_hits, 0u);
-  EXPECT_TRUE(far.validate_against_direct());
-  EXPECT_TRUE(exact.validate_against_direct());
-}
-
-TEST(OnlineScheduler, RetireGuardsItsPreconditions) {
-  const auto scenario = random_scenario(8, /*seed=*/6);
-  const Instance instance = scenario.instance();
-  SinrParams params;
-  const auto powers = SqrtPower{}.assign(instance, params.alpha);
-  {
-    OnlineScheduler dense(instance, powers, params, Variant::bidirectional);
-    EXPECT_THROW(dense.retire_link(0), PreconditionError);
-  }
-  {
-    OnlineSchedulerOptions options;
-    options.reuse_slots = true;  // without the appendable backend
-    EXPECT_THROW(OnlineScheduler(instance, powers, params, Variant::bidirectional,
-                                 options),
-                 PreconditionError);
-  }
-  OnlineSchedulerOptions options;
-  options.storage = GainBackend::appendable;
-  options.reuse_slots = true;
-  OnlineScheduler scheduler(instance, powers, params, Variant::bidirectional, options);
-  (void)scheduler.on_arrival(0);
-  EXPECT_THROW(scheduler.retire_link(0), PreconditionError);  // still active
-  scheduler.on_departure(0);
-  scheduler.retire_link(0);
-  EXPECT_THROW(scheduler.retire_link(0), PreconditionError);  // already retired
-}
-
-// ---------------------------------------------------------------------------
-// Compaction victim selection (CompactionVictim::smallest_first).
-
-TEST(OnlineScheduler, SmallestFirstDissolvesAMiddleClassTrailingNeverRevisits) {
-  // Uniform powers, alpha 3, beta 1, length-4 links on a line: two links
-  // conflict iff their closest endpoints sit within ~4 of each other.
-  // P = [0,4], Q = [200,204], W = [88,92] and X = [100,104] all share
-  // color 0; R = [97,101] conflicts only X -> color 1; S = [93,97]
-  // conflicts W, X and R -> color 2. When X departs, R could join color 0
-  // but S never can (W stays). The trailing pass only looks at color 2,
-  // skips S, and keeps three colors; smallest_first picks the singleton
-  // middle class, migrates R, and ends with two.
-  const auto scenario = line_pairs(
-      {0.0, 4.0, 200.0, 204.0, 88.0, 92.0, 100.0, 104.0, 97.0, 101.0, 93.0, 97.0});
-  const Instance instance = scenario.instance();
-  SinrParams params;
-  params.alpha = 3.0;
-  params.beta = 1.0;
-  const auto powers = UniformPower{}.assign(instance, params.alpha);
-  for (const bool smallest : {false, true}) {
-    OnlineSchedulerOptions options;
-    options.compaction_victim =
-        smallest ? CompactionVictim::smallest_first : CompactionVictim::trailing;
-    OnlineScheduler scheduler(instance, powers, params, Variant::bidirectional,
-                              options);
-    ASSERT_EQ(scheduler.on_arrival(0), 0);  // P
-    ASSERT_EQ(scheduler.on_arrival(1), 0);  // Q
-    ASSERT_EQ(scheduler.on_arrival(2), 0);  // W
-    ASSERT_EQ(scheduler.on_arrival(3), 0);  // X
-    ASSERT_EQ(scheduler.on_arrival(4), 1);  // R (blocked by X)
-    ASSERT_EQ(scheduler.on_arrival(5), 2);  // S (blocked by W, X and R)
-    scheduler.on_departure(3);              // X leaves
-    if (smallest) {
-      EXPECT_EQ(scheduler.num_colors(), 2);
-      EXPECT_EQ(scheduler.color_of(4), 0);  // R migrated into the anchors
-      EXPECT_EQ(scheduler.stats().migrations, 1u);
-    } else {
-      EXPECT_EQ(scheduler.num_colors(), 3);
-      EXPECT_EQ(scheduler.color_of(4), 1);  // the middle class was never tried
-      EXPECT_EQ(scheduler.stats().migrations, 0u);
-    }
-    EXPECT_TRUE(scheduler.validate_against_direct());
-  }
-}
-
-TEST(OnlineScheduler, SmallestFirstSkipsLessOnTheAdversarialTrace) {
-  const auto scenario = random_scenario(32, /*seed=*/29);
-  const Instance instance = scenario.instance();
-  SinrParams params;
-  params.alpha = 3.0;
-  params.beta = 1.0;
-  const auto powers = SqrtPower{}.assign(instance, params.alpha);
-  const ChurnTrace trace = trace_for("adversarial", instance.size(), 97);
-  OnlineSchedulerOptions trailing;
-  OnlineSchedulerOptions smallest;
-  smallest.compaction_victim = CompactionVictim::smallest_first;
-  OnlineScheduler a(instance, powers, params, Variant::bidirectional, trailing);
-  OnlineScheduler b(instance, powers, params, Variant::bidirectional, smallest);
-  const ReplayResult trailing_result = replay_trace(a, trace);
-  const ReplayResult smallest_result = replay_trace(b, trace);
-  EXPECT_TRUE(trailing_result.validated);
-  EXPECT_TRUE(smallest_result.validated);
-  // The size-ordered victim attacks the cheapest class first, so a failed
-  // pass burns fewer skips — and dissolving mid-palette classes keeps the
-  // color count no worse.
-  EXPECT_LT(smallest_result.stats.compaction_skips,
-            trailing_result.stats.compaction_skips);
-  EXPECT_LE(smallest_result.final_colors, trailing_result.final_colors);
 }
 
 TEST(OnlineScheduler, RebuildPolicyStillCountsItsReplays) {

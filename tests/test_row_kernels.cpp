@@ -2,8 +2,8 @@
 // accumulator bank. The SIMD dispatch (active under OISCHED_NATIVE AVX2
 // builds, a scalar alias otherwise) must match the always-scalar reference
 // implementations bit for bit — on finite data, on NaN/inf rows, and
-// through the bank's spill/saturation regimes — and the GainStorage
-// row_run seam must serve exactly the bytes at() serves on every backend.
+// through the bank's spill/saturation regimes — and the gain tables' row
+// seam must serve exactly the bytes at() serves on every backend.
 // CI runs this suite in both the default and the -DOISCHED_NATIVE=ON
 // builds; only the latter exercises the vector paths for real.
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 
 #include "sinr/gain_storage.h"
 #include "sinr/row_kernels.h"
+#include "test_helpers.h"
 #include "util/exact_bank.h"
 #include "util/exact_sum.h"
 #include "util/rng.h"
@@ -238,55 +239,32 @@ TEST(ExactSumBank, StoreRoundTripsLongAndNonFiniteSums) {
   EXPECT_EQ(bank.spilled_slots(), 0u);
 }
 
-TEST(RowRunSeam, RunsServeExactlyTheBytesAtServes) {
-  const std::size_t n = 140;  // spans multiple 64-wide tiles
-  const GainFiller fill = [](std::size_t j, std::size_t i) {
-    return 1.0 / (1.0 + static_cast<double>(j * 1000 + i));
-  };
-  const DenseGainStorage dense(n, fill);
-  const TiledGainStorage tiled(n, fill);
-  const AppendableGainStorage appendable(n, fill);
-  const std::vector<const GainStorage*> backends = {&dense, &tiled, &appendable};
-  Rng rng(7);
-  for (const GainStorage* storage : backends) {
-    for (int probes = 0; probes < 40; ++probes) {
-      const std::size_t j = rng.uniform_index(n);
-      std::size_t i = rng.uniform_index(n);
-      // Walking runs from any start covers the row tail contiguously.
-      while (i < n) {
-        const std::span<const double> run = storage->row_run(j, i);
-        ASSERT_FALSE(run.empty());
-        ASSERT_LE(i + run.size(), n);
-        for (std::size_t k = 0; k < run.size(); ++k) {
-          ASSERT_TRUE(same_bits(run[k], storage->at(j, i + k)))
-              << "row " << j << " col " << i + k;
-        }
-        i += run.size();
-      }
-    }
-  }
-}
-
-TEST(RowRunSeam, TiledRunsShareTheResidencyAccounting) {
+TEST(RowSeam, RowsServeExactlyTheBytesAtServes) {
   const std::size_t n = 140;
   const GainFiller fill = [](std::size_t j, std::size_t i) {
-    return static_cast<double>(j) + static_cast<double>(i) * 1e-3;
+    return i == j ? 0.0 : 1.0 / (1.0 + static_cast<double>(j * 1000 + i));
   };
-  const TiledGainStorage tiled(n, fill);
-  EXPECT_EQ(tiled.touched_blocks(), 0u);
-  EXPECT_EQ(tiled.total_blocks(), 9u);  // ceil(140/64)^2
-  (void)tiled.row_run(0, 0);
-  EXPECT_EQ(tiled.touched_blocks(), 1u);
-  // at() on the same tile reuses the run's materialization; a new tile
-  // through row_run counts once, exactly like at() would.
-  (void)tiled.at(0, 1);
-  EXPECT_EQ(tiled.touched_blocks(), 1u);
-  (void)tiled.row_run(0, 64);
-  EXPECT_EQ(tiled.touched_blocks(), 2u);
-  // Dense/appendable backends have no blocks to count.
-  const DenseGainStorage dense(8, fill);
-  EXPECT_EQ(dense.touched_blocks(), 0u);
-  EXPECT_EQ(dense.total_blocks(), 0u);
+  const DenseGainStorage dense = testutil::dense_table(n, fill);
+  const ComputedGainStorage computed(n, fill);
+  // Grown from empty one link at a time: row stride past n, same bytes.
+  DenseGainStorage grown(0, {});
+  for (std::size_t k = 0; k < n; ++k) grown.append(fill);
+  ASSERT_GT(grown.stride(), n);
+  Rng rng(7);
+  const auto probe = [&](const auto& storage) {
+    for (int probes = 0; probes < 40; ++probes) {
+      const std::size_t j = rng.uniform_index(n);
+      const std::span<const double> row = storage.row(j);
+      ASSERT_EQ(row.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_TRUE(same_bits(row[i], storage.at(j, i))) << "row " << j << " col " << i;
+        ASSERT_TRUE(same_bits(row[i], fill(j, i))) << "row " << j << " col " << i;
+      }
+    }
+  };
+  probe(dense);
+  probe(computed);
+  probe(grown);
 }
 
 TEST(RowKernels, SimdGateReportsItsBuildMode) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -19,6 +20,7 @@
 #include "core/power_assignment.h"
 #include "core/schedule.h"
 #include "gen/churn.h"
+#include "obs/metrics.h"
 #include "online/online_scheduler.h"
 #include "service/scheduler_service.h"
 #include "sinr/gain_storage.h"
@@ -202,19 +204,42 @@ TEST(OptionParser, MissingValueAndBadValuesFail) {
   }
 }
 
+TEST(OptionParser, SizeWordsAreStrictAndNeverClamped) {
+  EXPECT_EQ(parse_size_word("--n", "0").value(), 0u);
+  EXPECT_EQ(parse_size_word("--n", "18446744073709551615").value(),
+            std::size_t{18446744073709551615ULL});
+  for (const char* word : {"", "-1", "+5", " 5", "5 ", "12abc", "0x10",
+                           "18446744073709551616", "99999999999999999999"}) {
+    const Expected<std::size_t> parsed = parse_size_word("--n", word);
+    EXPECT_FALSE(parsed.ok()) << "'" << word << "'";
+    if (!parsed.ok()) {
+      EXPECT_NE(parsed.error().find("--n"), std::string::npos);
+    }
+  }
+  EXPECT_NE(parse_size_word("--n", "99999999999999999999").error().find("out of range"),
+            std::string::npos);
+  // The flag path rejects the overflow before anything sees a value: no
+  // service could be built from it.
+  OptionParser parser;
+  std::size_t shards = 1;
+  parser.add_shards(shards);
+  Argv argv({"tool", "--shards", "99999999999999999999"});
+  EXPECT_FALSE(parser.parse(argv.argc(), argv.data(), 1).ok());
+  EXPECT_EQ(shards, 1u);
+}
+
 TEST(OptionParser, DomainFlagsValidateIdentically) {
   {
     OptionParser parser;
     GainBackend backend = GainBackend::dense;
     parser.add_storage(backend);
-    Argv good({"tool", "--storage", "tiled"});
+    Argv good({"tool", "--storage", "computed"});
     EXPECT_TRUE(parser.parse(good.argc(), good.data(), 1).ok());
-    EXPECT_EQ(backend, GainBackend::tiled);
-    Argv bogus({"tool", "--storage", "sparse"});
-    EXPECT_FALSE(parser.parse(bogus.argc(), bogus.data(), 1).ok());
-    // appendable is gated behind allow_appendable.
-    Argv appendable({"tool", "--storage", "appendable"});
-    EXPECT_FALSE(parser.parse(appendable.argc(), appendable.data(), 1).ok());
+    EXPECT_EQ(backend, GainBackend::computed);
+    for (const char* word : {"sparse", "tiled", "appendable"}) {
+      Argv bogus({"tool", "--storage", word});
+      EXPECT_FALSE(parser.parse(bogus.argc(), bogus.data(), 1).ok()) << word;
+    }
   }
   {
     OptionParser parser;
@@ -340,15 +365,8 @@ TEST(SchedulerService, UpdateMovesActiveLinkUnderMobility) {
   EXPECT_EQ(service.stats().scheduler.link_updates, 1u);
 }
 
-TEST(SchedulerService, RejectsAppendableStorageAndFreshLinkEvents) {
+TEST(SchedulerService, RejectsFreshLinkEvents) {
   const ServiceFixture fx(16, 3);
-  SchedulerServiceOptions options;
-  options.num_shards = 2;
-  options.scheduler.storage = GainBackend::appendable;
-  EXPECT_THROW(SchedulerService(fx.instance, fx.powers, fx.params,
-                                Variant::bidirectional, options),
-               PreconditionError);
-
   SchedulerService service = fx.make(2);
   ChurnEvent fresh;
   fresh.kind = ChurnEvent::Kind::link_arrival;
@@ -357,6 +375,75 @@ TEST(SchedulerService, RejectsAppendableStorageAndFreshLinkEvents) {
   const Expected<void> submitted = service.submit(fresh);
   ASSERT_FALSE(submitted.ok());
   EXPECT_NE(submitted.error().find("link_arrival"), std::string::npos);
+}
+
+TEST(SchedulerService, CountsRefusalsBeforeRouting) {
+  const ServiceFixture fx(16, 3);
+  obs::MetricsRegistry registry;
+  SchedulerServiceOptions options;
+  options.registry = &registry;
+  SchedulerService service = fx.make(2, options);
+  const auto refused = [&registry] {
+    return registry.scrape().counter_total("oisched_service_refused_total");
+  };
+  EXPECT_EQ(refused(), 0u);
+
+  ChurnEvent fresh;
+  fresh.kind = ChurnEvent::Kind::link_arrival;
+  fresh.link = fx.instance.size();
+  fresh.request = Request{0, 1};
+  EXPECT_FALSE(service.submit(fresh).ok());
+  EXPECT_FALSE(service.admit(AdmitRequest{999}).success);  // out of range
+  EXPECT_EQ(refused(), 2u);
+  // A routed event the shard rejects is not a refusal.
+  ASSERT_TRUE(service.admit(AdmitRequest{0}).success);
+  EXPECT_FALSE(service.admit(AdmitRequest{0}).success);
+  service.drain();
+  EXPECT_EQ(refused(), 2u);
+  EXPECT_EQ(service.stats().rejected, 1u);
+  EXPECT_EQ(registry.scrape().counter_total("oisched_service_submitted_total"), 2u);
+
+  service.stop();
+  ChurnEvent late;
+  late.kind = ChurnEvent::Kind::arrival;
+  late.link = 1;
+  EXPECT_FALSE(service.submit(late).ok());
+  EXPECT_EQ(refused(), 3u);
+  // Refusals stay out of ServiceStats::rejected, so a caller that adds
+  // submit() errors to it counts each refusal once.
+  EXPECT_EQ(service.stats().rejected, 1u);
+}
+
+TEST(SchedulerService, ScrapeWhileComputedShardsReplay) {
+  // The residency collector samples every shard's gain tables while the
+  // shard threads read rows: computed tables report their row cache's
+  // fixed size, so the scrape reads nothing a shard writes (the TSan job
+  // runs this suite).
+  const ServiceFixture fx(48, 17);
+  Rng rng(17);
+  PoissonChurnOptions churn;
+  churn.max_events = 600;
+  const ChurnTrace trace = poisson_trace(fx.instance.size(), churn, rng);
+  obs::MetricsRegistry registry;
+  SchedulerServiceOptions options;
+  options.registry = &registry;
+  options.scheduler.storage = GainBackend::computed;
+  SchedulerService service = fx.make(2, options);
+  std::atomic<bool> done{false};
+  std::thread scraper([&] {
+    while (!done.load()) (void)registry.scrape();
+  });
+  const auto replayed = replay_trace(service, trace);
+  done.store(true);
+  scraper.join();
+  ASSERT_TRUE(replayed.ok()) << replayed.error();
+  EXPECT_TRUE(replayed.value().validated);
+  EXPECT_TRUE(replayed.value().oracle_identical);
+  // Two private matrices, each: n signals plus two n-double row caches.
+  const obs::MetricsSnapshot snapshot = registry.scrape();
+  const auto* resident = snapshot.find("oisched_gain_resident_doubles");
+  ASSERT_NE(resident, nullptr);
+  EXPECT_EQ(resident->gauge, static_cast<double>(2 * 3 * fx.instance.size()));
 }
 
 TEST(SchedulerService, StopIsIdempotentAndFailsLaterSubmissions) {
