@@ -10,7 +10,6 @@
 #include "core/power_assignment.h"
 #include "lp/simplex.h"
 #include "sinr/feasibility.h"
-#include "sinr/row_kernels.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -93,18 +92,18 @@ class RoundSelector {
   /// Appends `chosen` to the selection, keeping the per-request interference
   /// accumulators of the gain path in sync (accumulation order matches the
   /// order selection_interference sums in, so both paths agree bit-for-bit).
-  /// The full-row accumulation streams each chosen row through the
-  /// slot-wise kernels — each acc slot still receives exactly one add per
-  /// chosen row, in ascending index order, so the sums match the
-  /// per-element loop this replaces bit for bit.
+  /// Each chosen row is added slot-wise: every acc slot receives exactly
+  /// one add per chosen row, in selection order.
   void extend_selection(std::span<const std::size_t> chosen) {
     selection_.insert(selection_.end(), chosen.begin(), chosen.end());
     if (gains_ == nullptr) return;
     const std::size_t n = instance_.size();
+    const auto add_row = [n](double* acc, std::span<const double> row) {
+      for (std::size_t i = 0; i < n; ++i) acc[i] += row[i];
+    };
     for (const std::size_t s : chosen) {
-      kernels::acc_add_row(acc_v_.data(), gains_->row_v(s).data(), n);
-      if (variant_ != Variant::bidirectional) continue;
-      kernels::acc_add_row(acc_u_.data(), gains_->row_u(s).data(), n);
+      add_row(acc_v_.data(), gains_->row_v(s));
+      if (variant_ == Variant::bidirectional) add_row(acc_u_.data(), gains_->row_u(s));
     }
   }
 

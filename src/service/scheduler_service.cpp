@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <limits>
 #include <thread>
 #include <utility>
@@ -432,13 +431,11 @@ bool SchedulerService::validate_against_direct(double* worst_margin) const {
   double worst = std::numeric_limits<double>::infinity();
   bool ok = true;
   for (const auto& shard : shards_) {
-    double margin = 0.0;
+    double margin = std::numeric_limits<double>::infinity();
     if (!shard->scheduler.validate_against_direct(&margin)) ok = false;
-    if (shard->scheduler.num_colors() > 0) worst = std::min(worst, margin);
+    worst = std::min(worst, margin);
   }
-  if (worst_margin != nullptr) {
-    *worst_margin = std::isinf(worst) ? 0.0 : worst;
-  }
+  if (worst_margin != nullptr) *worst_margin = worst;
   return ok;
 }
 

@@ -266,7 +266,10 @@ class SchedulerService {
 
   /// Re-validates every shard against the direct metric-recomputing engine
   /// (bit-for-bit engine agreement + feasibility of every class — the
-  /// OnlineScheduler gate, per shard). Quiesced callers only.
+  /// OnlineScheduler gate, per shard). `worst_margin` (optional) receives
+  /// the minimum class margin over all shards — +inf when no class has
+  /// interference to bound, as OnlineScheduler reports. Quiesced callers
+  /// only.
   [[nodiscard]] bool validate_against_direct(double* worst_margin = nullptr) const;
 
   /// The oracle gate: replays each shard's sub-trace of `trace` through a

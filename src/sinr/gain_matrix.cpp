@@ -8,7 +8,6 @@
 
 #include "core/instance.h"
 #include "sinr/farfield.h"
-#include "sinr/row_kernels.h"
 #include "util/error.h"
 
 namespace oisched {
@@ -52,28 +51,11 @@ GainFiller make_gain_filler(const MetricSpace* metric,
   };
 }
 
-/// Feeds columns [begin, end) of gain-table row j to
-/// body(base, row_v, row_u, len), the row pointers offset to `base`, with
-/// row_u == nullptr for single-table classes — the feed of every
-/// accumulator row walk below. An empty range calls nothing.
-template <typename Body>
-void walk_row(const GainMatrix& gains, std::size_t j, bool bidirectional,
-              std::size_t begin, std::size_t end, Body&& body) {
-  if (begin == end) return;
-  const double* row_v = gains.row_v(j).data() + begin;
-  const double* row_u = bidirectional ? gains.row_u(j).data() + begin : nullptr;
-  body(begin, row_v, row_u, end - begin);
-}
-
-/// walk_row over [0, n) minus the diagonal entry `skip` — a member never
-/// interferes with itself, and skipping by splitting the walk keeps the
-/// slot untouched instead of relying on += 0.0 (which would flip the sign
-/// of a -0.0 slot and is not a no-op on the exact expansions).
-template <typename Body>
-void walk_row_skip(const GainMatrix& gains, std::size_t j, bool bidirectional,
-                   std::size_t skip, Body&& body) {
-  walk_row(gains, j, bidirectional, 0, skip, body);
-  walk_row(gains, j, bidirectional, skip + 1, gains.size(), body);
+/// acc[i] += row[i] for i in [begin, end) — the plain policies' row
+/// update. Slot-wise, so the compiler vectorizes it across slots without
+/// reordering any slot's additions.
+void add_row(double* acc, const double* row, std::size_t begin, std::size_t end) {
+  for (std::size_t i = begin; i < end; ++i) acc[i] += row[i];
 }
 
 }  // namespace
@@ -434,6 +416,40 @@ bool IncrementalGainClass::far_apply_member(std::size_t j, bool add_op) {
   return saturated;
 }
 
+bool IncrementalGainClass::apply_row(std::size_t j, std::size_t begin, std::size_t end,
+                                     bool add_op) {
+  if (begin == end) return false;
+  const auto apply = [&](const double* row, ExactSumBank& bank, double* acc,
+                         double* cancelled) {
+    if (policy_ == RemovePolicy::exact) {
+      return add_op ? bank.add_row(begin, row + begin, end - begin, acc)
+                    : bank.sub_row(begin, row + begin, end - begin, acc);
+    }
+    if (add_op) {
+      add_row(acc, row, begin, end);
+      return false;
+    }
+    // Compensated removal (the only plain-policy subtract): the cancelled
+    // magnitude grows by what passed through the slot.
+    for (std::size_t i = begin; i < end; ++i) {
+      acc[i] -= row[i];
+      cancelled[i] += std::abs(row[i]);
+    }
+    return false;
+  };
+  bool saturated = apply(gains_->row_v(j).data(), exact_v_, acc_v_.data(), cancelled_v_.data());
+  if (gains_->variant() == Variant::bidirectional) {
+    saturated |= apply(gains_->row_u(j).data(), exact_u_, acc_u_.data(), cancelled_u_.data());
+  }
+  return saturated;
+}
+
+bool IncrementalGainClass::apply_row_off_diagonal(std::size_t j, bool add_op) {
+  const bool below = apply_row(j, 0, j, add_op);
+  const bool above = apply_row(j, j + 1, gains_->size(), add_op);
+  return below || above;
+}
+
 bool IncrementalGainClass::can_add(std::size_t request_index) const {
   require(acc_v_.size() == gains_->size(),
           "IncrementalGainClass: the gain matrix grew; call sync_universe() first");
@@ -491,37 +507,15 @@ bool IncrementalGainClass::can_add(std::size_t request_index) const {
 void IncrementalGainClass::add(std::size_t request_index) {
   require(acc_v_.size() == gains_->size(),
           "IncrementalGainClass: the gain matrix grew; call sync_universe() first");
-  const bool bidirectional = gains_->variant() == Variant::bidirectional;
   if (farfield_ != nullptr) {
     far_apply_member(request_index, /*add_op=*/true);
     members_.push_back(request_index);
     return;
   }
-  if (policy_ == RemovePolicy::exact) {
-    // Error-free accumulation: the slot keeps the exact expansion, and the
-    // exposed double is its correct rounding — a pure function of the
-    // member multiset, so any later subtract restores today's state bit
-    // for bit. The bank streams each resident run with a fused add-round
-    // per slot.
-    walk_row_skip(*gains_, request_index, bidirectional, request_index,
-                       [&](std::size_t base, const double* row_v, const double* row_u,
-                           std::size_t len) {
-                         exact_v_.add_row(base, row_v, len, acc_v_.data());
-                         if (row_u != nullptr) {
-                           exact_u_.add_row(base, row_u, len, acc_u_.data());
-                         }
-                       });
-    members_.push_back(request_index);
-    return;
-  }
-  walk_row_skip(*gains_, request_index, bidirectional, request_index,
-                     [&](std::size_t base, const double* row_v, const double* row_u,
-                         std::size_t len) {
-                       kernels::acc_add_row(acc_v_.data() + base, row_v, len);
-                       if (row_u != nullptr) {
-                         kernels::acc_add_row(acc_u_.data() + base, row_u, len);
-                       }
-                     });
+  // Under exact the slot keeps the error-free expansion and exposes its
+  // correct rounding — a pure function of the member multiset, so any
+  // later subtract restores today's state bit for bit.
+  apply_row_off_diagonal(request_index, /*add_op=*/true);
   members_.push_back(request_index);
 }
 
@@ -564,17 +558,7 @@ void IncrementalGainClass::remove(std::size_t request_index) {
     // so every slot lands bit for bit where a freshly built exact class
     // over the survivors would — no replay, except the one pathological
     // escape hatch below.
-    const bool bidi = gains_->variant() == Variant::bidirectional;
-    bool saturated = false;
-    walk_row_skip(*gains_, request_index, bidi, request_index,
-                       [&](std::size_t base, const double* row_v, const double* row_u,
-                           std::size_t len) {
-                         saturated |= exact_v_.sub_row(base, row_v, len, acc_v_.data());
-                         if (row_u != nullptr) {
-                           saturated |= exact_u_.sub_row(base, row_u, len, acc_u_.data());
-                         }
-                       });
-    if (saturated) {
+    if (apply_row_off_diagonal(request_index, /*add_op=*/false)) {
       // A slot's true interference sum once exceeded the double range:
       // ExactSum saturation is sticky, so subtraction alone cannot bring
       // the finite state back even though the survivors' sum may be
@@ -600,17 +584,7 @@ void IncrementalGainClass::remove(std::size_t request_index) {
 
   // Compensated fast path: subtract the departed contributions and grow the
   // per-slot cancellation bound by their magnitude.
-  const bool bidirectional = gains_->variant() == Variant::bidirectional;
-  walk_row_skip(
-      *gains_, request_index, bidirectional, request_index,
-      [&](std::size_t base, const double* row_v, const double* row_u, std::size_t len) {
-        kernels::acc_sub_row_cancel(acc_v_.data() + base, cancelled_v_.data() + base,
-                                    row_v, len);
-        if (row_u != nullptr) {
-          kernels::acc_sub_row_cancel(acc_u_.data() + base, cancelled_u_.data() + base,
-                                      row_u, len);
-        }
-      });
+  apply_row_off_diagonal(request_index, /*add_op=*/false);
   ++removes_since_rebuild_;
   maybe_rebuild_after_remove();
 #ifndef NDEBUG
@@ -657,23 +631,7 @@ void IncrementalGainClass::begin_link_update(std::size_t link) {
     far_apply_member(link, /*add_op=*/false);
     return;
   }
-
-  const bool bidirectional = gains_->variant() == Variant::bidirectional;
-  walk_row_skip(
-      *gains_, link, bidirectional, link,
-      [&](std::size_t base, const double* row_v, const double* row_u, std::size_t len) {
-        if (policy_ == RemovePolicy::exact) {
-          exact_v_.sub_row(base, row_v, len, acc_v_.data());
-          if (row_u != nullptr) exact_u_.sub_row(base, row_u, len, acc_u_.data());
-          return;
-        }
-        kernels::acc_sub_row_cancel(acc_v_.data() + base, cancelled_v_.data() + base,
-                                    row_v, len);
-        if (row_u != nullptr) {
-          kernels::acc_sub_row_cancel(acc_u_.data() + base, cancelled_u_.data() + base,
-                                      row_u, len);
-        }
-      });
+  apply_row_off_diagonal(link, /*add_op=*/false);
 }
 
 void IncrementalGainClass::finish_link_update(std::size_t link) {
@@ -681,7 +639,6 @@ void IncrementalGainClass::finish_link_update(std::size_t link) {
           "IncrementalGainClass: finish_link_update without a pending update");
   update_pending_ = false;
   const bool member = contains(link);
-  const bool bidirectional = gains_->variant() == Variant::bidirectional;
 
   if (member && policy_ == RemovePolicy::rebuild) {
     // The rebuild policy restores every slot — including slot `link` — by
@@ -691,32 +648,13 @@ void IncrementalGainClass::finish_link_update(std::size_t link) {
     return;
   }
 
-  if (member && farfield_ != nullptr) {
-    // Re-admit through the refreshed tables and the refreshed geometry,
-    // then fall through to the shared slot re-derivation below.
-    if (far_apply_member(link, /*add_op=*/true)) {
-      ++removal_rebuilds_;
-      rebuild();
-      return;
-    }
-  } else if (member) {
-    // Re-add the link's row, now reading the refreshed tables.
-    bool saturated = false;
-    walk_row_skip(
-        *gains_, link, bidirectional, link,
-        [&](std::size_t base, const double* row_v, const double* row_u,
-            std::size_t len) {
-          if (policy_ == RemovePolicy::exact) {
-            saturated |= exact_v_.add_row(base, row_v, len, acc_v_.data());
-            if (row_u != nullptr) {
-              saturated |= exact_u_.add_row(base, row_u, len, acc_u_.data());
-            }
-            return;
-          }
-          kernels::acc_add_row(acc_v_.data() + base, row_v, len);
-          if (row_u != nullptr) kernels::acc_add_row(acc_u_.data() + base, row_u, len);
-        });
-    if (policy_ == RemovePolicy::exact && saturated) {
+  if (member) {
+    // Re-add the link's row, now reading the refreshed tables (and, in
+    // far-field mode, the refreshed geometry), then fall through to the
+    // shared slot re-derivation below.
+    const bool saturated = farfield_ != nullptr ? far_apply_member(link, /*add_op=*/true)
+                                                : apply_row_off_diagonal(link, /*add_op=*/true);
+    if (saturated) {
       // Same escape hatch as remove(): sticky saturation means a slot's
       // true sum once left the double range, and only a replay restores
       // the finite state.
@@ -869,35 +807,13 @@ void IncrementalGainClass::sync_universe() {
   if (policy_ == RemovePolicy::exact) {
     exact_v_.resize(acc_v_.size());
     exact_u_.resize(acc_u_.size());
-    // Fresh slots receive the members' contributions error-free — the
-    // grown state is exactly what a from-scratch exact build over the
-    // grown universe produces. Members always predate the growth, so the
-    // [old_n, n) walk never crosses a member's own diagonal.
-    for (const std::size_t m : members_) {
-      walk_row(*gains_, m, bidirectional, old_n, n,
-                    [&](std::size_t base, const double* row_v, const double* row_u,
-                        std::size_t len) {
-                      exact_v_.add_row(base, row_v, len, acc_v_.data());
-                      if (row_u != nullptr) {
-                        exact_u_.add_row(base, row_u, len, acc_u_.data());
-                      }
-                    });
-    }
-    return;
   }
   // The fresh slots accumulate the members' contributions in insertion
-  // order — exactly the sums a from-scratch replay over the grown universe
-  // produces, so exactness guarantees survive growth.
-  for (const std::size_t m : members_) {
-    walk_row(*gains_, m, bidirectional, old_n, n,
-                  [&](std::size_t base, const double* row_v, const double* row_u,
-                      std::size_t len) {
-                    kernels::acc_add_row(acc_v_.data() + base, row_v, len);
-                    if (row_u != nullptr) {
-                      kernels::acc_add_row(acc_u_.data() + base, row_u, len);
-                    }
-                  });
-  }
+  // order (error-free under exact) — exactly the sums a from-scratch
+  // replay over the grown universe produces, so exactness guarantees
+  // survive growth. Members always predate the growth, so the [old_n, n)
+  // range never crosses a member's own diagonal.
+  for (const std::size_t m : members_) apply_row(m, old_n, n, /*add_op=*/true);
 }
 
 void IncrementalGainClass::maybe_rebuild_after_remove() {
@@ -959,15 +875,18 @@ void IncrementalGainClass::replay_accumulators(std::vector<double>& acc_v,
     }
     return;
   }
+  // Plain policies: insertion-order float sums, skipping each member's own
+  // slot.
+  const std::size_t n = gains_->size();
   for (const std::size_t m : members_) {
-    walk_row_skip(*gains_, m, bidirectional, m,
-                       [&](std::size_t base, const double* row_v, const double* row_u,
-                           std::size_t len) {
-                         kernels::acc_add_row(acc_v.data() + base, row_v, len);
-                         if (row_u != nullptr) {
-                           kernels::acc_add_row(acc_u.data() + base, row_u, len);
-                         }
-                       });
+    const double* row_v = gains_->row_v(m).data();
+    add_row(acc_v.data(), row_v, 0, m);
+    add_row(acc_v.data(), row_v, m + 1, n);
+    if (bidirectional) {
+      const double* row_u = gains_->row_u(m).data();
+      add_row(acc_u.data(), row_u, 0, m);
+      add_row(acc_u.data(), row_u, m + 1, n);
+    }
   }
 }
 
@@ -993,16 +912,7 @@ void IncrementalGainClass::rebuild() {
     exact_u_.assign_zero(bidirectional ? gains_->size() : 0);
     std::fill(acc_v_.begin(), acc_v_.end(), 0.0);
     std::fill(acc_u_.begin(), acc_u_.end(), 0.0);
-    for (const std::size_t m : members_) {
-      walk_row_skip(*gains_, m, bidirectional, m,
-                         [&](std::size_t base, const double* row_v,
-                             const double* row_u, std::size_t len) {
-                           exact_v_.add_row(base, row_v, len, acc_v_.data());
-                           if (row_u != nullptr) {
-                             exact_u_.add_row(base, row_u, len, acc_u_.data());
-                           }
-                         });
-    }
+    for (const std::size_t m : members_) apply_row_off_diagonal(m, /*add_op=*/true);
     removes_since_rebuild_ = 0;
     return;
   }

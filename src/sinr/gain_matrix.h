@@ -348,6 +348,16 @@ class IncrementalGainClass {
  private:
   static constexpr std::size_t kNoExtra = static_cast<std::size_t>(-1);
 
+  /// Applies columns [begin, end) of gain-table row j to the accumulators
+  /// under the class's policy: exact-bank add/subtract, plain add, or the
+  /// compensated subtract (which also grows the cancellation bound).
+  /// Returns true when an exact slot is left saturated.
+  bool apply_row(std::size_t j, std::size_t begin, std::size_t end, bool add_op);
+  /// apply_row over every column but j's own — a member never interferes
+  /// with itself, and skipping the diagonal keeps that slot untouched
+  /// instead of relying on += 0.0 (which would flip the sign of a -0.0
+  /// slot and is not a no-op on the exact expansions).
+  bool apply_row_off_diagonal(std::size_t j, bool add_op);
   void replay_accumulators(std::vector<double>& acc_v, std::vector<double>& acc_u) const;
   void maybe_rebuild_after_remove();
   void rederive_slot(std::size_t link);
@@ -384,7 +394,7 @@ class IncrementalGainClass {
   std::vector<double> cancelled_v_;
   std::vector<double> cancelled_u_;
   /// Exact mode only: the error-free expansions behind the slots, in the
-  /// structure-of-arrays bank the row kernels stream (util/exact_bank.h).
+  /// structure-of-arrays bank the row updates stream (util/exact_bank.h).
   /// In far-field mode they hold the near-field part only.
   ExactSumBank exact_v_;
   ExactSumBank exact_u_;

@@ -2,11 +2,6 @@
 
 #include <cmath>
 
-#if defined(OISCHED_NATIVE) && defined(__AVX2__)
-#define OISCHED_EXACT_BANK_AVX2 1
-#include <immintrin.h>
-#endif
-
 namespace oisched {
 namespace {
 
@@ -102,14 +97,11 @@ bool ExactSumBank::saturated(std::size_t i) const {
 void ExactSumBank::store(std::size_t i, const ExactSum& sum) {
   const auto comps = sum.components();
   if (!sum.finite() || comps.size() > kSlotComponents) {
-    for (auto& comp : comp_) comp[i] = 0.0;
     count_[i] = kSpilled;
     spill_[i] = sum;
     return;
   }
-  for (std::size_t k = 0; k < kSlotComponents; ++k) {
-    comp_[k][i] = k < comps.size() ? comps[k] : 0.0;
-  }
+  for (std::size_t k = 0; k < comps.size(); ++k) comp_[k][i] = comps[k];
   count_[i] = static_cast<std::uint8_t>(comps.size());
   spill_.erase(i);
 }
@@ -154,25 +146,18 @@ double ExactSumBank::slot_op(std::size_t i, double x) {
   }
   if (carry != 0.0) e[m++] = carry;
   if (m > 1) m = compress(e, m);
-  return commit_slot(i, e, m);
-}
-
-double ExactSumBank::commit_slot(std::size_t i, const double* comps, std::size_t m) {
   if (m > kSlotComponents) {
     // A five-component compressed expansion: exact but too long for the
     // inline bank. The compressed list is a renormalized expansion, so the
     // spilled ExactSum adopts it verbatim.
-    for (auto& comp : comp_) comp[i] = 0.0;
     count_[i] = kSpilled;
     ExactSum& sum = spill_[i];
-    sum = ExactSum::from_expansion({comps, m});
+    sum = ExactSum::from_expansion({e, m});
     return sum.value();
   }
-  for (std::size_t k = 0; k < kSlotComponents; ++k) {
-    comp_[k][i] = k < m ? comps[k] : 0.0;
-  }
+  for (std::size_t k = 0; k < m; ++k) comp_[k][i] = e[k];
   count_[i] = static_cast<std::uint8_t>(m);
-  return rounded_value(comps, m);
+  return rounded_value(e, m);
 }
 
 double ExactSumBank::spill_op(std::size_t i, double x, bool subtract_op) {
@@ -180,10 +165,7 @@ double ExactSumBank::spill_op(std::size_t i, double x, bool subtract_op) {
   if (it == spill_.end()) {
     double comps[kSlotComponents];
     const std::size_t cnt = count_[i];
-    for (std::size_t k = 0; k < cnt; ++k) {
-      comps[k] = comp_[k][i];
-      comp_[k][i] = 0.0;
-    }
+    for (std::size_t k = 0; k < cnt; ++k) comps[k] = comp_[k][i];
     it = spill_.emplace(i, ExactSum::from_expansion({comps, cnt})).first;
     count_[i] = kSpilled;
   }
@@ -198,9 +180,7 @@ double ExactSumBank::spill_op(std::size_t i, double x, bool subtract_op) {
     // Back to the fast regime (e.g. a transient infinity was withdrawn):
     // migrate the expansion inline so the slot stops paying the map.
     const auto comps = sum.components();
-    for (std::size_t k = 0; k < kSlotComponents; ++k) {
-      comp_[k][i] = k < comps.size() ? comps[k] : 0.0;
-    }
+    for (std::size_t k = 0; k < comps.size(); ++k) comp_[k][i] = comps[k];
     count_[i] = static_cast<std::uint8_t>(comps.size());
     spill_.erase(it);
   }
@@ -209,93 +189,18 @@ double ExactSumBank::spill_op(std::size_t i, double x, bool subtract_op) {
 
 bool ExactSumBank::add_row(std::size_t base, const double* row, std::size_t len,
                            double* acc) {
-  return row_op(base, row, len, acc, false, true);
+  return row_op(base, row, len, acc, false);
 }
 
 bool ExactSumBank::sub_row(std::size_t base, const double* row, std::size_t len,
                            double* acc) {
-  return row_op(base, row, len, acc, true, true);
-}
-
-bool ExactSumBank::add_row_scalar(std::size_t base, const double* row,
-                                  std::size_t len, double* acc) {
-  return row_op(base, row, len, acc, false, false);
-}
-
-bool ExactSumBank::sub_row_scalar(std::size_t base, const double* row,
-                                  std::size_t len, double* acc) {
-  return row_op(base, row, len, acc, true, false);
+  return row_op(base, row, len, acc, true);
 }
 
 bool ExactSumBank::row_op(std::size_t base, const double* row, std::size_t len,
-                          double* acc, bool subtract_op, bool allow_simd) {
+                          double* acc, bool subtract_op) {
   bool any_saturated = false;
-  std::size_t k = 0;
-#ifdef OISCHED_EXACT_BANK_AVX2
-  if (allow_simd) {
-    // Four slots per step: the grow chain is branch-free two-sums, so it
-    // vectorizes lane-wise with the identical per-slot operation sequence.
-    // Zero-elimination, COMPRESS, and the fused readout are data-dependent
-    // and stay scalar per lane — on registers spilled from the chain, not
-    // re-read from memory. Lanes outside the fast regime (spilled slot,
-    // non-finite or zero addend, chain overflow) fall back to the scalar
-    // routine before anything is written, so every lane takes exactly the
-    // scalar path's branches.
-    const __m256d sign_flip = _mm256_set1_pd(-0.0);
-    for (; k + 4 <= len; k += 4) {
-      const std::size_t i0 = base + k;
-      bool lane_scalar[4];
-      bool any_fast = false;
-      for (std::size_t l = 0; l < 4; ++l) {
-        const double x = row[k + l];
-        lane_scalar[l] =
-            count_[i0 + l] == kSpilled || !std::isfinite(x) || x == 0.0;
-        any_fast |= !lane_scalar[l];
-      }
-      double ebuf[kSlotComponents][4];
-      double carrybuf[4];
-      if (any_fast) {
-        __m256d carry = _mm256_loadu_pd(row + k);
-        if (subtract_op) carry = _mm256_xor_pd(carry, sign_flip);
-        for (std::size_t c = 0; c < kSlotComponents; ++c) {
-          const __m256d comp = _mm256_loadu_pd(comp_[c].data() + i0);
-          const __m256d sum = _mm256_add_pd(carry, comp);
-          const __m256d b_virtual = _mm256_sub_pd(sum, carry);
-          const __m256d a_virtual = _mm256_sub_pd(sum, b_virtual);
-          const __m256d b_roundoff = _mm256_sub_pd(comp, b_virtual);
-          const __m256d a_roundoff = _mm256_sub_pd(carry, a_virtual);
-          _mm256_storeu_pd(ebuf[c], _mm256_add_pd(a_roundoff, b_roundoff));
-          carry = sum;
-        }
-        _mm256_storeu_pd(carrybuf, carry);
-      }
-      for (std::size_t l = 0; l < 4; ++l) {
-        const std::size_t i = i0 + l;
-        const double x = row[k + l];
-        if (lane_scalar[l] || !std::isfinite(carrybuf[l])) {
-          if (count_[i] == kSpilled || !std::isfinite(x)) {
-            acc[i] = spill_op(i, x, subtract_op);
-          } else {
-            acc[i] = slot_op(i, subtract_op ? -x : x);
-          }
-        } else {
-          double e[kSlotComponents + 1];
-          std::size_t m = 0;
-          for (std::size_t c = 0; c < kSlotComponents; ++c) {
-            if (ebuf[c][l] != 0.0) e[m++] = ebuf[c][l];
-          }
-          if (carrybuf[l] != 0.0) e[m++] = carrybuf[l];
-          if (m > 1) m = compress(e, m);
-          acc[i] = commit_slot(i, e, m);
-        }
-        any_saturated |= slot_saturated_after_op(i);
-      }
-    }
-  }
-#else
-  (void)allow_simd;
-#endif
-  for (; k < len; ++k) {
+  for (std::size_t k = 0; k < len; ++k) {
     const std::size_t i = base + k;
     const double x = row[k];
     if (count_[i] == kSpilled || !std::isfinite(x)) {

@@ -7,8 +7,7 @@
 // admissions and departures. ExactSumBank is the same mathematics in the
 // layout the row walk wants (the ECS component-storage idiom): the k-th
 // expansion component of every slot lives in one flat array, the per-slot
-// component count in another, so a row update streams contiguous memory
-// and vectorizes across slots.
+// component count in another, so a row update streams contiguous memory.
 //
 // The fast path covers expansions of <= 4 components with all-finite
 // state — in practice, effectively every slot. Rarer states (more
@@ -22,12 +21,6 @@
 // The fused add-round readout folds the compressed registers straight to
 // the rounded double, so exact-policy slots neither allocate nor re-read
 // memory to publish their value.
-//
-// AVX2 builds (cmake -DOISCHED_NATIVE=ON) vectorize the grow chain
-// across 4 slots per step — never across members, so per-slot arithmetic
-// order (and bit-identity) is preserved; the scalar path remains the
-// default build and the *_scalar entry points are always the reference
-// implementation the differential fuzz suite compares against.
 #ifndef OISCHED_UTIL_EXACT_BANK_H
 #define OISCHED_UTIL_EXACT_BANK_H
 
@@ -76,20 +69,12 @@ class ExactSumBank {
   /// distant members' gains to reconstruct a full-row exact sum.
   [[nodiscard]] ExactSum extract(std::size_t i) const;
 
-  /// Row kernels: slots [base, base + len) accumulate row[0..len) and the
+  /// Row updates: slots [base, base + len) accumulate row[0..len) and the
   /// rounded values land in acc[base..base + len) — acc is the full
   /// mirror array, absolute-indexed like the slots. Returns true when any
-  /// touched slot is left saturated (the caller then rebuilds). AVX2
-  /// builds run the grow chain 4 slots wide; default builds are scalar.
+  /// touched slot is left saturated (the caller then rebuilds).
   bool add_row(std::size_t base, const double* row, std::size_t len, double* acc);
   bool sub_row(std::size_t base, const double* row, std::size_t len, double* acc);
-
-  /// Always-scalar references for the differential suite — same slot
-  /// derivation, never vectorized.
-  bool add_row_scalar(std::size_t base, const double* row, std::size_t len,
-                      double* acc);
-  bool sub_row_scalar(std::size_t base, const double* row, std::size_t len,
-                      double* acc);
 
   /// Slots currently living in the spill map — observability for tests.
   [[nodiscard]] std::size_t spilled_slots() const noexcept { return spill_.size(); }
@@ -97,25 +82,21 @@ class ExactSumBank {
  private:
   static constexpr std::uint8_t kSpilled = 0xFF;
 
-  /// One finite add/subtract on a fast-path slot; spills when the result
-  /// leaves the fast regime.
+  /// One finite add/subtract on a fast-path slot, returning the fused
+  /// rounded readout; spills when the result leaves the fast regime.
   double slot_op(std::size_t i, double x);
   /// Routes an op through the slot's spilled ExactSum (migrating the
   /// inline expansion out first if needed), then migrates back if the
   /// result re-enters the fast regime.
   double spill_op(std::size_t i, double x, bool subtract_op);
-  /// Post-compress finish shared by the scalar and SIMD paths: spill
-  /// check, write-back, fused rounded readout.
-  double commit_slot(std::size_t i, const double* comps, std::size_t m);
   [[nodiscard]] double fused_value(std::size_t i) const;
   [[nodiscard]] bool slot_saturated_after_op(std::size_t i) const;
 
   bool row_op(std::size_t base, const double* row, std::size_t len, double* acc,
-              bool subtract_op, bool allow_simd);
+              bool subtract_op);
 
-  /// comp_[k][i] = k-th expansion component of slot i (0.0 above the
-  /// slot's count — the invariant that lets the SIMD chain run a fixed
-  /// kSlotComponents steps).
+  /// comp_[k][i] = k-th expansion component of slot i, meaningful below
+  /// the slot's count only.
   std::array<std::vector<double>, kSlotComponents> comp_;
   /// Components in use per slot, or kSpilled.
   std::vector<std::uint8_t> count_;

@@ -1,11 +1,9 @@
-// Differential suite for the hot-path row kernels and the SoA exact
-// accumulator bank. The SIMD dispatch (active under OISCHED_NATIVE AVX2
-// builds, a scalar alias otherwise) must match the always-scalar reference
-// implementations bit for bit — on finite data, on NaN/inf rows, and
-// through the bank's spill/saturation regimes — and the gain tables' row
-// seam must serve exactly the bytes at() serves on every backend.
-// CI runs this suite in both the default and the -DOISCHED_NATIVE=ON
-// builds; only the latter exercises the vector paths for real.
+// Differential suite for the SoA exact accumulator bank and the gain
+// tables' row seam. The bank's row updates must match a vector<ExactSum>
+// oracle bit for bit — on finite data, on NaN/inf rows, and through the
+// spill/saturation regimes — and a table row must serve exactly the bytes
+// at() serves on every backend. CI runs this suite in both the default
+// and the host-tuned native build.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -15,7 +13,6 @@
 #include <vector>
 
 #include "sinr/gain_storage.h"
-#include "sinr/row_kernels.h"
 #include "test_helpers.h"
 #include "util/exact_bank.h"
 #include "util/exact_sum.h"
@@ -55,72 +52,18 @@ std::vector<double> edge_row(std::size_t n, Rng& rng) {
   return row;
 }
 
-TEST(RowKernels, AddRowMatchesScalarBitForBit) {
-  Rng rng(101);
-  for (int round = 0; round < 50; ++round) {
-    const std::size_t n = 1 + rng.uniform_index(37);
-    const std::vector<double> row = round % 2 == 0 ? random_row(n, rng)
-                                                   : edge_row(n, rng);
-    std::vector<double> acc = random_row(n, rng);
-    std::vector<double> acc_ref = acc;
-    kernels::acc_add_row(acc.data(), row.data(), n);
-    kernels::acc_add_row_scalar(acc_ref.data(), row.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_TRUE(same_bits(acc[i], acc_ref[i])) << "slot " << i;
-    }
-  }
-}
-
-TEST(RowKernels, SubRowMatchesScalarBitForBit) {
-  Rng rng(202);
-  for (int round = 0; round < 50; ++round) {
-    const std::size_t n = 1 + rng.uniform_index(37);
-    const std::vector<double> row = round % 2 == 0 ? random_row(n, rng)
-                                                   : edge_row(n, rng);
-    std::vector<double> acc = random_row(n, rng);
-    std::vector<double> acc_ref = acc;
-    kernels::acc_sub_row(acc.data(), row.data(), n);
-    kernels::acc_sub_row_scalar(acc_ref.data(), row.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_TRUE(same_bits(acc[i], acc_ref[i])) << "slot " << i;
-    }
-  }
-}
-
-TEST(RowKernels, SubRowCancelMatchesScalarBitForBit) {
-  Rng rng(303);
-  for (int round = 0; round < 50; ++round) {
-    const std::size_t n = 1 + rng.uniform_index(37);
-    const std::vector<double> row = round % 2 == 0 ? random_row(n, rng)
-                                                   : edge_row(n, rng);
-    std::vector<double> acc = random_row(n, rng);
-    std::vector<double> cancelled(n, 0.0);
-    for (double& c : cancelled) c = std::abs(rng.uniform(-10.0, 10.0));
-    std::vector<double> acc_ref = acc;
-    std::vector<double> cancelled_ref = cancelled;
-    kernels::acc_sub_row_cancel(acc.data(), cancelled.data(), row.data(), n);
-    kernels::acc_sub_row_cancel_scalar(acc_ref.data(), cancelled_ref.data(), row.data(),
-                                       n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_TRUE(same_bits(acc[i], acc_ref[i])) << "acc slot " << i;
-      ASSERT_TRUE(same_bits(cancelled[i], cancelled_ref[i])) << "cancel slot " << i;
-    }
-  }
-}
-
-/// Drives a SIMD bank, an always-scalar bank, and a vector<ExactSum>
-/// oracle through the identical op sequence and asserts all three expose
-/// bit-identical rounded values and agreeing saturation state throughout.
+/// Drives a bank and a vector<ExactSum> oracle through the identical op
+/// sequence and asserts, after every row update, that the bank's values
+/// and the readouts it wrote into acc[base, base + len) are the oracle's
+/// bit for bit, that acc outside the range is untouched, and that the
+/// saturation state agrees.
 void fuzz_bank_against_oracle(std::uint64_t seed, bool edge_rows) {
   Rng rng(seed);
   const std::size_t n = 24;
   ExactSumBank bank;
-  ExactSumBank bank_scalar;
   bank.assign_zero(n);
-  bank_scalar.assign_zero(n);
   std::vector<ExactSum> oracle(n);
   std::vector<double> acc(n, 0.0);
-  std::vector<double> acc_scalar(n, 0.0);
 
   for (int round = 0; round < 60; ++round) {
     const std::size_t base = rng.uniform_index(n);
@@ -128,32 +71,34 @@ void fuzz_bank_against_oracle(std::uint64_t seed, bool edge_rows) {
     const std::vector<double> row =
         edge_rows ? edge_row(len, rng) : random_row(len, rng);
     const bool subtract = rng.bernoulli(0.5);
-    bool saturated_simd = false;
-    bool saturated_scalar = false;
+    const std::vector<double> acc_before = acc;
+    bool saturated = false;
     if (subtract) {
-      saturated_simd = bank.sub_row(base, row.data(), len, acc.data());
-      saturated_scalar = bank_scalar.sub_row_scalar(base, row.data(), len,
-                                                    acc_scalar.data());
+      saturated = bank.sub_row(base, row.data(), len, acc.data());
       for (std::size_t k = 0; k < len; ++k) oracle[base + k].subtract(row[k]);
     } else {
-      saturated_simd = bank.add_row(base, row.data(), len, acc.data());
-      saturated_scalar = bank_scalar.add_row_scalar(base, row.data(), len,
-                                                    acc_scalar.data());
+      saturated = bank.add_row(base, row.data(), len, acc.data());
       for (std::size_t k = 0; k < len; ++k) oracle[base + k].add(row[k]);
     }
-    ASSERT_EQ(saturated_simd, saturated_scalar) << "round " << round;
+    bool oracle_saturated = false;
+    for (std::size_t i = base; i < base + len; ++i) {
+      oracle_saturated |= oracle[i].saturated();
+    }
+    ASSERT_EQ(saturated, oracle_saturated) << "round " << round;
     for (std::size_t i = 0; i < n; ++i) {
       const double expected = oracle[i].value();
       ASSERT_TRUE(same_bits(bank.value(i), expected))
           << "round " << round << " slot " << i;
-      ASSERT_TRUE(same_bits(bank_scalar.value(i), expected))
-          << "round " << round << " slot " << i;
-      ASSERT_TRUE(same_bits(acc[i], acc_scalar[i]))
-          << "round " << round << " acc slot " << i;
+      if (i >= base && i < base + len) {
+        ASSERT_TRUE(same_bits(acc[i], expected))
+            << "round " << round << " acc slot " << i;
+      } else {
+        ASSERT_TRUE(same_bits(acc[i], acc_before[i]))
+            << "round " << round << " untouched acc slot " << i;
+      }
       ASSERT_EQ(bank.saturated(i), oracle[i].saturated())
           << "round " << round << " slot " << i;
     }
-    ASSERT_EQ(bank.spilled_slots(), bank_scalar.spilled_slots()) << "round " << round;
   }
 }
 
@@ -265,14 +210,6 @@ TEST(RowSeam, RowsServeExactlyTheBytesAtServes) {
   probe(dense);
   probe(computed);
   probe(grown);
-}
-
-TEST(RowKernels, SimdGateReportsItsBuildMode) {
-#if defined(OISCHED_NATIVE) && defined(__AVX2__)
-  EXPECT_TRUE(kernels::simd_active());
-#else
-  EXPECT_FALSE(kernels::simd_active());
-#endif
 }
 
 }  // namespace

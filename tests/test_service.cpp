@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -316,6 +317,40 @@ TEST(SchedulerService, AdmitReleaseRoundTripAcrossShards) {
   EXPECT_EQ(stats.processed, 9u);
   EXPECT_EQ(stats.rejected, 0u);
   EXPECT_EQ(stats.latency.count, 9u);
+}
+
+TEST(SchedulerService, WorstMarginMatchesBareScheduler) {
+  const ServiceFixture fx(32, 103);
+  SchedulerService service = fx.make(2);
+  OnlineScheduler bare(fx.instance, fx.powers, fx.params, Variant::bidirectional);
+  double service_margin = 0.0;
+  double bare_margin = 0.0;
+  ASSERT_TRUE(service.validate_against_direct(&service_margin));
+  ASSERT_TRUE(bare.validate_against_direct(&bare_margin));
+  EXPECT_EQ(service_margin, bare_margin);  // both +inf: no class at all
+
+  // One admitted link: a class with no interference, so its margin is
+  // +inf — the service must report the shards' true minimum, not 0.
+  ASSERT_TRUE(service.admit(AdmitRequest{5}).success);
+  service.drain();
+  ASSERT_GE(bare.on_arrival(5), 0);
+  ASSERT_TRUE(service.validate_against_direct(&service_margin));
+  ASSERT_TRUE(bare.validate_against_direct(&bare_margin));
+  EXPECT_TRUE(std::isinf(bare_margin) && bare_margin > 0.0);
+  EXPECT_EQ(service_margin, bare_margin);
+
+  // Interfering links on one shard: the same finite minimum.
+  SchedulerService single = fx.make(1);
+  OnlineScheduler crowded(fx.instance, fx.powers, fx.params, Variant::bidirectional);
+  for (std::size_t link = 0; link < 12; ++link) {
+    ASSERT_TRUE(single.admit(AdmitRequest{link}).success);
+    ASSERT_GE(crowded.on_arrival(link), 0);
+  }
+  single.drain();
+  ASSERT_TRUE(single.validate_against_direct(&service_margin));
+  ASSERT_TRUE(crowded.validate_against_direct(&bare_margin));
+  EXPECT_TRUE(std::isfinite(bare_margin));
+  EXPECT_EQ(service_margin, bare_margin);
 }
 
 TEST(SchedulerService, FailuresAreStructuredAndLeaveStateClean) {
